@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "cpu/chunk_pipeline.hpp"
-#include "cpu/reference.hpp"
 #include "cpu/thread_util.hpp"
 #include "cpu/tile_exec.hpp"
 #include "obs/counters.hpp"
@@ -18,25 +17,19 @@ template <typename T>
 FactorResult factor_canonical(const BatchLayout& layout, std::span<T> data,
                               const CpuFactorOptions& options,
                               std::span<std::int32_t> info) {
-  const int n = layout.n();
-  const int nb = std::min(options.nb, n);
   const std::int64_t batch = layout.batch();
-  IBCHOL_TRACE_SPAN("factor_canonical", "cpu", n);
+  IBCHOL_TRACE_SPAN("factor_canonical", "cpu", layout.n());
   IBCHOL_COUNT("cpu.exec.canonical", 1);
   std::int64_t failed = 0;
   std::int64_t first_failed = std::numeric_limits<std::int64_t>::max();
-#pragma omp parallel for schedule(static) num_threads(resolve_threads(options.num_threads)) \
+  // One contiguous block of matrices per thread: the static schedule.
+  const int threads = resolve_threads(options.num_threads);
+#pragma omp parallel for schedule(static) num_threads(threads) \
     reduction(+ : failed) reduction(min : first_failed)
-  for (std::int64_t b = 0; b < batch; ++b) {
-    T* a = data.data() + layout.index(b, 0, 0);
-    const int st = options.triangle == Triangle::kUpper
-                       ? potrf_unblocked_upper(n, a, n)
-                       : potrf_blocked(n, nb, a, n);
-    if (!info.empty()) info[b] = st;
-    if (st != 0) {
-      ++failed;
-      first_failed = std::min(first_failed, b);
-    }
+  for (int t = 0; t < threads; ++t) {
+    factor_canonical_range(layout, data.data(), options.nb, options.triangle,
+                           batch * t / threads, batch * (t + 1) / threads,
+                           info, failed, first_failed);
   }
   // The min-reduction identity (int64 max) must never escape as a matrix
   // index; finalize_factor_result maps it back to the -1 convention the
@@ -65,7 +58,7 @@ FactorResult factor_batch_cpu(const BatchLayout& layout, std::span<T> data,
   const int nb = std::min(options.nb, layout.n());
   const TileProgram program =
       build_tile_program(layout.n(), nb, options.looking);
-  return run_chunk_pipeline(layout, data, &program, options, info);
+  return run_chunk_pipeline<T>(layout, data, &program, options, info);
 }
 
 template <typename T>
@@ -82,7 +75,7 @@ FactorResult factor_batch_cpu_with_program(const BatchLayout& layout,
   IBCHOL_CHECK(info.empty() ||
                    info.size() >= static_cast<std::size_t>(layout.batch()),
                "info span too small for batch");
-  return run_chunk_pipeline(layout, data, &program, options, info);
+  return run_chunk_pipeline<T>(layout, data, &program, options, info);
 }
 
 FactorResult factor_batch_cpu_mixed(const BatchLayout& layout,
@@ -99,14 +92,14 @@ FactorResult factor_batch_cpu_mixed(const BatchLayout& layout,
                "info span too small for batch");
   IBCHOL_TRACE_SPAN("factor_batch", "cpu", layout.batch());
   if (options.unroll == Unroll::kFull) {
-    return run_chunk_pipeline_mixed(layout, data, nullptr, options, storage,
-                                    info);
+    return run_chunk_pipeline<float>(layout, data, nullptr, options, info,
+                                     storage);
   }
   const int nb = std::min(options.nb, layout.n());
   const TileProgram program =
       build_tile_program(layout.n(), nb, options.looking);
-  return run_chunk_pipeline_mixed(layout, data, &program, options, storage,
-                                  info);
+  return run_chunk_pipeline<float>(layout, data, &program, options, info,
+                                   storage);
 }
 
 FactorResult factor_batch_cpu_mixed_with_program(
@@ -121,8 +114,8 @@ FactorResult factor_batch_cpu_mixed_with_program(
   IBCHOL_CHECK(info.empty() ||
                    info.size() >= static_cast<std::size_t>(layout.batch()),
                "info span too small for batch");
-  return run_chunk_pipeline_mixed(layout, data, &program, options, storage,
-                                  info);
+  return run_chunk_pipeline<float>(layout, data, &program, options, info,
+                                   storage);
 }
 
 template FactorResult factor_batch_cpu<float>(const BatchLayout&,

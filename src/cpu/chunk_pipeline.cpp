@@ -8,8 +8,10 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "cpu/reference.hpp"
 #include "cpu/simd/convert.hpp"
 #include "cpu/simd/isa.hpp"
 #include "cpu/simd/vec_exec.hpp"
@@ -325,12 +327,15 @@ void note_exec_dispatch(CpuExec exec) {
   }
 }
 
+namespace {
+
+// The executor half of a plan, shared by the full-precision and the mixed
+// planners: kAuto dispatch, unrolling, the bound kernel tables, and the
+// whole-matrix scratch the resolved body needs.
 template <typename T>
-ChunkExecPlan<T> plan_chunk_exec(const BatchLayout& layout, const T* data,
-                                 const TileProgram* program,
-                                 const CpuFactorOptions& options) {
-  IBCHOL_CHECK(layout.kind() != LayoutKind::kCanonical,
-               "the chunk pipeline runs interleaved layouts");
+ChunkExecPlan<T> resolve_plan_exec(const BatchLayout& layout,
+                                   const TileProgram* program,
+                                   const CpuFactorOptions& options) {
   ChunkExecPlan<T> plan;
   plan.layout = layout;
   plan.n = layout.n();
@@ -366,7 +371,18 @@ ChunkExecPlan<T> plan_chunk_exec(const BatchLayout& layout, const T* data,
                                 : !plan.fused_spec);
   plan.wm_scratch_elems =
       plan.need_wm_scratch ? whole_matrix_scratch_elems(plan.n) : 0;
+  return plan;
+}
 
+}  // namespace
+
+template <typename T>
+ChunkExecPlan<T> plan_chunk_exec(const BatchLayout& layout, const T* data,
+                                 const TileProgram* program,
+                                 const CpuFactorOptions& options) {
+  IBCHOL_CHECK(layout.kind() != LayoutKind::kCanonical,
+               "the chunk pipeline runs interleaved layouts");
+  ChunkExecPlan<T> plan = resolve_plan_exec<T>(layout, program, options);
   const std::int64_t padded = layout.padded_batch();
   const std::int64_t elems = static_cast<std::int64_t>(plan.n) * plan.n;
 
@@ -496,30 +512,39 @@ void writeback_unit(const ChunkExecPlan<T>& plan, const T* scratch, T* data,
   if (plan.nt_stores) counters.nt_store_bytes += elems * lanes * sizeof(T);
 }
 
-template <typename T>
-void run_unit(const ChunkExecPlan<T>& plan, T* data, std::int64_t unit,
+template <typename T, typename S>
+void run_unit(const ChunkExecPlan<T>& plan, S* data, std::int64_t unit,
               T* pack_scratch, T* wm_scratch, std::span<std::int32_t> info,
               std::int64_t& failed, std::int64_t& first_failed,
               ChunkUnitCounters& counters) {
-  if (plan.pack_lanes > 0) {
-    pack_unit(plan, data, unit, pack_scratch);
-    factor_unit(plan, data, unit, pack_scratch, wm_scratch, info, failed,
-                first_failed, counters);
-    writeback_unit(plan, pack_scratch, data, unit, counters);
-  } else {
-    factor_unit(plan, data, unit, pack_scratch, wm_scratch, info, failed,
-                first_failed, counters);
+  if constexpr (std::is_same_v<S, T>) {
+    if (plan.pack_lanes == 0) {
+      factor_unit(plan, data, unit, pack_scratch, wm_scratch, info, failed,
+                  first_failed, counters);
+      return;
+    }
   }
+  // Packed: the factor stage never dereferences the batch, so a 16-bit
+  // batch reuses the compute body verbatim over the widened scratch.
+  pack_unit(plan, data, unit, pack_scratch);
+  factor_unit<T>(plan, nullptr, unit, pack_scratch, wm_scratch, info, failed,
+                 first_failed, counters);
+  writeback_unit(plan, pack_scratch, data, unit, counters);
 }
 
-template <typename T>
-FactorResult run_chunk_pipeline(const BatchLayout& layout, std::span<T> data,
+template <typename T, typename S>
+FactorResult run_chunk_pipeline(const BatchLayout& layout, std::span<S> data,
                                 const TileProgram* program,
                                 const CpuFactorOptions& options,
-                                std::span<std::int32_t> info) {
+                                std::span<std::int32_t> info,
+                                StoragePrec storage) {
   IBCHOL_TRACE_SPAN("chunk_pipeline", "cpu", layout.n());
-  ChunkExecPlan<T> plan =
-      plan_chunk_exec<T>(layout, data.data(), program, options);
+  ChunkExecPlan<T> plan;
+  if constexpr (std::is_same_v<S, T>) {
+    plan = plan_chunk_exec<T>(layout, data.data(), program, options);
+  } else {
+    plan = plan_chunk_exec_mixed(layout, program, options, storage);
+  }
   note_exec_dispatch(plan.exec);
   std::optional<SpecializedProgram<T>> spec;
   if (plan.needs_spec_program()) {
@@ -565,36 +590,10 @@ ChunkExecPlan<float> plan_chunk_exec_mixed(const BatchLayout& layout,
                "reduced-precision storage runs interleaved layouts");
   IBCHOL_CHECK(storage != StoragePrec::kFp32,
                "mixed plans are for reduced storage precisions only");
-  ChunkExecPlan<float> plan;
-  plan.layout = layout;
-  plan.n = layout.n();
+  ChunkExecPlan<float> plan = resolve_plan_exec<float>(layout, program,
+                                                       options);
   plan.storage = storage;
   plan.convert_isa = resolve_convert_isa();
-
-  plan.exec = options.exec;
-  plan.whole_matrix = options.unroll == Unroll::kFull;
-  if (plan.exec == CpuExec::kAuto) {
-    plan.exec = resolve_cpu_exec(plan.n, options.isa);
-    if (plan.exec == CpuExec::kVectorized) plan.whole_matrix = true;
-  }
-  IBCHOL_CHECK(plan.whole_matrix || program != nullptr,
-               "partial unrolling requires a tile program");
-
-  plan.math = options.math;
-  plan.triangle = options.triangle;
-  plan.program = program;
-  plan.fused_spec = plan.exec == CpuExec::kSpecialized && plan.whole_matrix &&
-                    plan.n <= kMaxFusedDim;
-  if (plan.exec == CpuExec::kVectorized) {
-    plan.vk = &vec_kernels<float>(options.isa);
-    plan.vec_nt_stores = std::getenv("IBCHOL_VEC_NT_STORES") != nullptr;
-  }
-  plan.need_wm_scratch =
-      plan.whole_matrix && (plan.exec == CpuExec::kVectorized
-                                ? plan.n > kMaxVecWholeDim
-                                : !plan.fused_spec);
-  plan.wm_scratch_elems =
-      plan.need_wm_scratch ? whole_matrix_scratch_elems(plan.n) : 0;
 
   const std::int64_t padded = layout.padded_batch();
   const std::int64_t elems = static_cast<std::int64_t>(plan.n) * plan.n;
@@ -656,9 +655,8 @@ inline TriangleRun column_run(int n, int j, Triangle triangle) {
 
 }  // namespace
 
-void pack_unit_mixed(const ChunkExecPlan<float>& plan,
-                     const std::uint16_t* data, std::int64_t unit,
-                     float* scratch) {
+void pack_unit(const ChunkExecPlan<float>& plan, const std::uint16_t* data,
+               std::int64_t unit, float* scratch) {
   IBCHOL_TRACE_SPAN("pack", "pipeline", unit);
   const std::int64_t c0 = plan.first_lane(unit);
   const std::int64_t lanes = plan.lanes_of(unit);
@@ -681,9 +679,9 @@ void pack_unit_mixed(const ChunkExecPlan<float>& plan,
   }
 }
 
-void writeback_unit_mixed(const ChunkExecPlan<float>& plan,
-                          const float* scratch, std::uint16_t* data,
-                          std::int64_t unit, ChunkUnitCounters& counters) {
+void writeback_unit(const ChunkExecPlan<float>& plan, const float* scratch,
+                    std::uint16_t* data, std::int64_t unit,
+                    ChunkUnitCounters& counters) {
   IBCHOL_TRACE_SPAN("writeback", "pipeline", unit);
   const std::int64_t c0 = plan.first_lane(unit);
   const std::int64_t lanes = plan.lanes_of(unit);
@@ -713,57 +711,23 @@ void writeback_unit_mixed(const ChunkExecPlan<float>& plan,
   }
 }
 
-void run_unit_mixed(const ChunkExecPlan<float>& plan, std::uint16_t* data,
-                    std::int64_t unit, float* pack_scratch, float* wm_scratch,
-                    std::span<std::int32_t> info, std::int64_t& failed,
-                    std::int64_t& first_failed, ChunkUnitCounters& counters) {
-  pack_unit_mixed(plan, data, unit, pack_scratch);
-  // The packed branch of factor_unit never dereferences `data` — the fp32
-  // compute body is reused verbatim over the widened scratch.
-  factor_unit<float>(plan, nullptr, unit, pack_scratch, wm_scratch, info,
-                     failed, first_failed, counters);
-  writeback_unit_mixed(plan, pack_scratch, data, unit, counters);
-}
-
-FactorResult run_chunk_pipeline_mixed(const BatchLayout& layout,
-                                      std::span<std::uint16_t> data,
-                                      const TileProgram* program,
-                                      const CpuFactorOptions& options,
-                                      StoragePrec storage,
-                                      std::span<std::int32_t> info) {
-  IBCHOL_TRACE_SPAN("chunk_pipeline", "cpu", layout.n());
-  ChunkExecPlan<float> plan =
-      plan_chunk_exec_mixed(layout, program, options, storage);
-  note_exec_dispatch(plan.exec);
-  std::optional<SpecializedProgram<float>> spec;
-  if (plan.needs_spec_program()) {
-    spec.emplace(*program, options.math);
-    plan.spec = &*spec;
-  }
-
-  std::int64_t failed = 0;
-  std::int64_t first_failed = std::numeric_limits<std::int64_t>::max();
-
-#pragma omp parallel num_threads(resolve_threads(options.num_threads))
-  {
-    AlignedBuffer<float> scratch(plan.pack_scratch_elems);
-    std::vector<float> wm_scratch(plan.wm_scratch_elems);
-    std::int64_t local_failed = 0;
-    std::int64_t local_first = std::numeric_limits<std::int64_t>::max();
-    ChunkUnitCounters counters;
-#pragma omp for schedule(static)
-    for (std::int64_t u = 0; u < plan.num_units; ++u) {
-      run_unit_mixed(plan, data.data(), u, scratch.data(), wm_scratch.data(),
-                     info, local_failed, local_first, counters);
-    }
-    fold_unit_counters(counters);
-#pragma omp critical
-    {
-      failed += local_failed;
-      first_failed = std::min(first_failed, local_first);
+template <typename T>
+void factor_canonical_range(const BatchLayout& layout, T* data, int nb,
+                            Triangle triangle, std::int64_t b0,
+                            std::int64_t b1, std::span<std::int32_t> info,
+                            std::int64_t& failed, std::int64_t& first_failed) {
+  const int n = layout.n();
+  nb = std::min(nb, n);
+  for (std::int64_t b = b0; b < b1; ++b) {
+    T* a = data + layout.index(b, 0, 0);
+    const int st = triangle == Triangle::kUpper ? potrf_unblocked_upper(n, a, n)
+                                                : potrf_blocked(n, nb, a, n);
+    if (!info.empty()) info[static_cast<std::size_t>(b)] = st;
+    if (st != 0) {
+      ++failed;
+      first_failed = std::min(first_failed, b);
     }
   }
-  return finalize_factor_result(failed, first_failed);
 }
 
 template void pack_chunk<float>(const float*, std::int64_t, float*,
@@ -787,15 +751,26 @@ template void unpack_chunk<double>(const double*, std::int64_t, double*,
                                ChunkUnitCounters&);                         \
   template void writeback_unit<T>(const ChunkExecPlan<T>&, const T*, T*,    \
                                   std::int64_t, ChunkUnitCounters&);        \
-  template void run_unit<T>(const ChunkExecPlan<T>&, T*, std::int64_t, T*,  \
-                            T*, std::span<std::int32_t>, std::int64_t&,     \
-                            std::int64_t&, ChunkUnitCounters&);             \
-  template FactorResult run_chunk_pipeline<T>(                              \
+  template void run_unit<T, T>(const ChunkExecPlan<T>&, T*, std::int64_t,  \
+                               T*, T*, std::span<std::int32_t>,             \
+                               std::int64_t&, std::int64_t&,                \
+                               ChunkUnitCounters&);                         \
+  template FactorResult run_chunk_pipeline<T, T>(                           \
       const BatchLayout&, std::span<T>, const TileProgram*,                 \
-      const CpuFactorOptions&, std::span<std::int32_t>);
+      const CpuFactorOptions&, std::span<std::int32_t>, StoragePrec);       \
+  template void factor_canonical_range<T>(                                  \
+      const BatchLayout&, T*, int, Triangle, std::int64_t, std::int64_t,    \
+      std::span<std::int32_t>, std::int64_t&, std::int64_t&);
 
 IBCHOL_INSTANTIATE_PLAN(float)
 IBCHOL_INSTANTIATE_PLAN(double)
 #undef IBCHOL_INSTANTIATE_PLAN
+
+template void run_unit<float, std::uint16_t>(
+    const ChunkExecPlan<float>&, std::uint16_t*, std::int64_t, float*, float*,
+    std::span<std::int32_t>, std::int64_t&, std::int64_t&, ChunkUnitCounters&);
+template FactorResult run_chunk_pipeline<float, std::uint16_t>(
+    const BatchLayout&, std::span<std::uint16_t>, const TileProgram*,
+    const CpuFactorOptions&, std::span<std::int32_t>, StoragePrec);
 
 }  // namespace ibchol

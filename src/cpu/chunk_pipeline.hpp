@@ -169,11 +169,12 @@ struct ChunkExecPlan {
   /// Element width of the *caller's* batch. kFp32 is the classic path
   /// (storage == compute == T). Reduced-precision plans (built by
   /// plan_chunk_exec_mixed, T = float only) hold the batch as 16-bit words
-  /// and always stage units through fp32 pack scratch: pack_unit_mixed
-  /// widens rows on the way into L2, the unchanged factor_unit runs the
-  /// fp32 compute body over scratch, writeback_unit_mixed narrows on the
-  /// way out. convert_isa is the conversion tier resolved once at plan
-  /// time (IBCHOL_CONVERT_ISA hook), never kAuto.
+  /// and always stage units through fp32 pack scratch: the std::uint16_t
+  /// pack_unit overload widens rows on the way into L2, the unchanged
+  /// factor_unit runs the fp32 compute body over scratch, the matching
+  /// writeback_unit overload narrows on the way out. convert_isa is the
+  /// conversion tier resolved once at plan time (IBCHOL_CONVERT_ISA hook),
+  /// never kAuto.
   StoragePrec storage = StoragePrec::kFp32;
   SimdIsa convert_isa = SimdIsa::kScalar;
 
@@ -238,9 +239,10 @@ void writeback_unit(const ChunkExecPlan<T>& plan, const T* scratch, T* data,
 /// All stages of one unit back to back — the synchronous (non-overlapped)
 /// schedule the OpenMP driver uses. The service's workers instead call the
 /// stages directly so the pack of unit k+1 can overlap the write-back of
-/// unit k (double buffering).
-template <typename T>
-void run_unit(const ChunkExecPlan<T>& plan, T* data, std::int64_t unit,
+/// unit k (double buffering). S is the batch's storage type: T, or
+/// std::uint16_t for a reduced-precision plan (which always packs).
+template <typename T, typename S = T>
+void run_unit(const ChunkExecPlan<T>& plan, S* data, std::int64_t unit,
               T* pack_scratch, T* wm_scratch, std::span<std::int32_t> info,
               std::int64_t& failed, std::int64_t& first_failed,
               ChunkUnitCounters& counters);
@@ -248,12 +250,15 @@ void run_unit(const ChunkExecPlan<T>& plan, T* data, std::int64_t unit,
 /// Factors an interleaved-layout batch through the chunk-resident
 /// pipeline. `program` may be null when no tile program is needed (full
 /// unrolling, or kAuto resolving to a programless path). This is the
-/// execution engine behind factor_batch_cpu for non-canonical layouts.
-template <typename T>
-FactorResult run_chunk_pipeline(const BatchLayout& layout, std::span<T> data,
+/// execution engine behind factor_batch_cpu for non-canonical layouts and,
+/// with S = std::uint16_t, behind factor_batch_cpu_mixed; `storage` names
+/// the 16-bit format then and is ignored otherwise.
+template <typename T, typename S = T>
+FactorResult run_chunk_pipeline(const BatchLayout& layout, std::span<S> data,
                                 const TileProgram* program,
                                 const CpuFactorOptions& options,
-                                std::span<std::int32_t> info);
+                                std::span<std::int32_t> info,
+                                StoragePrec storage = StoragePrec::kFp32);
 
 // ------------------------------------------- reduced-precision storage ---
 //
@@ -276,31 +281,29 @@ FactorResult run_chunk_pipeline(const BatchLayout& layout, std::span<T> data,
 
 /// Stage 1 of a mixed unit: widens the unit's 16-bit lanes into fp32 chunk
 /// scratch (pack_scratch_elems floats).
-void pack_unit_mixed(const ChunkExecPlan<float>& plan,
-                     const std::uint16_t* data, std::int64_t unit,
-                     float* scratch);
+void pack_unit(const ChunkExecPlan<float>& plan, const std::uint16_t* data,
+               std::int64_t unit, float* scratch);
 
 /// Stage 3 of a mixed unit: narrows the factored fp32 scratch back into
 /// the 16-bit batch (RN-even), streaming past the caches when the plan
 /// calls for it (the store fence is issued before returning).
-void writeback_unit_mixed(const ChunkExecPlan<float>& plan,
-                          const float* scratch, std::uint16_t* data,
-                          std::int64_t unit, ChunkUnitCounters& counters);
+void writeback_unit(const ChunkExecPlan<float>& plan, const float* scratch,
+                    std::uint16_t* data, std::int64_t unit,
+                    ChunkUnitCounters& counters);
 
-/// All stages of one mixed unit back to back (stage 2 is the unchanged
-/// fp32 factor_unit over the scratch).
-void run_unit_mixed(const ChunkExecPlan<float>& plan, std::uint16_t* data,
-                    std::int64_t unit, float* pack_scratch, float* wm_scratch,
-                    std::span<std::int32_t> info, std::int64_t& failed,
-                    std::int64_t& first_failed, ChunkUnitCounters& counters);
+// ------------------------------------------------------ canonical layout ---
 
-/// Factors a reduced-precision interleaved-layout batch (bf16/fp16 words,
-/// fp32 accumulate). The execution engine behind factor_batch_cpu_mixed.
-FactorResult run_chunk_pipeline_mixed(const BatchLayout& layout,
-                                      std::span<std::uint16_t> data,
-                                      const TileProgram* program,
-                                      const CpuFactorOptions& options,
-                                      StoragePrec storage,
-                                      std::span<std::int32_t> info);
+/// Factors the canonical-layout matrices [b0, b1) one after another with
+/// the blocked reference routine (the unblocked upper one for
+/// Triangle::kUpper) — the per-matrix body of every canonical path: the
+/// OpenMP driver, the service's units and its quarantine. Writes info[b]
+/// when `info` is non-empty and folds failures into the caller's
+/// reduction-local counters (first_failed keeps the int64-max "not seen"
+/// sentinel of finalize_factor_result).
+template <typename T>
+void factor_canonical_range(const BatchLayout& layout, T* data, int nb,
+                            Triangle triangle, std::int64_t b0,
+                            std::int64_t b1, std::span<std::int32_t> info,
+                            std::int64_t& failed, std::int64_t& first_failed);
 
 }  // namespace ibchol

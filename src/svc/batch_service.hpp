@@ -10,13 +10,22 @@
 // current one. BatchService keeps the execution machinery alive across
 // requests:
 //
+//  * one request path — submit<T>, submit_mixed and submit_tiled each
+//    resolve their mode-specific part (chunk plan, tiled DAG spec) into a
+//    small request descriptor on the caller's thread; one private enqueue
+//    then checks it, admits it, initializes a pooled slot and queues it.
+//    The descriptor names the runner its mode implements once (run a unit
+//    range, claim-time set-up, screen, quarantine); everything else is
+//    shared and never switches on the mode.
 //  * submission — a bounded lock-free MPMC queue (MpmcQueue) of pooled
 //    request slots; submit() is wait-free apart from the slot pop and
 //    returns a FactorFuture. What a full pool means is the admission
 //    policy's call (ServicePolicy): backpressure (block), immediate load
 //    shedding (kOverloaded), shedding of already-expired queued requests,
 //    or a bounded wait. High-priority submissions (SubmitOptions::
-//    priority) are claimed before normal ones.
+//    priority) are claimed before normal ones. Submitters and workers
+//    share no lock: idle workers sleep in an atomic wait on a work epoch
+//    that every publication bumps and notifies.
 //  * deadlines — SubmitOptions::timeout_ns stamps a request with an
 //    absolute deadline; a worker that claims an expired request completes
 //    its future with kDeadlineExceeded without touching the batch (the
@@ -53,7 +62,8 @@
 //    kResourceExhausted instead of crashing a worker.
 //  * observability — per-request "request"/"queue_wait" spans (category
 //    "svc"), the "svc.request_ns"/"svc.queue_ns"/"svc.slack_ns" latency
-//    histograms, and the svc.shed / svc.deadline_miss / svc.quarantined /
+//    histograms plus one "svc.request_ns.<lane>" per storage precision,
+//    and the svc.shed / svc.deadline_miss / svc.quarantined /
 //    svc.watchdog.* overload counters (docs/OBSERVABILITY.md).
 //
 // Thread-count and steal-granularity are live tuning axes
@@ -76,6 +86,7 @@ namespace ibchol::svc {
 
 namespace detail {
 struct ServiceShared;
+struct Request;
 }
 
 /// Per-matrix `info` code for matrices the service never executed: the
@@ -389,6 +400,11 @@ class BatchService {
   static BatchService& global();
 
  private:
+  /// The one request path behind every submit flavor: checks the request,
+  /// admits it per ServicePolicy, initializes its slot and queues it.
+  FactorFuture enqueue(const detail::Request& request,
+                       const SubmitOptions& sopts);
+
   std::shared_ptr<detail::ServiceShared> shared_;
 };
 

@@ -1,7 +1,7 @@
 // Tests for BatchService: bit-identity with the synchronous drivers across
 // layouts and dtypes, concurrent submission, cancellation, drain-on-
 // teardown, the zero-steady-state-allocation property, recovery routing,
-// and the IBCHOL_SERVICE facade switch.
+// per-precision latency lanes, and the IBCHOL_SERVICE facade switch.
 //
 // Pipeline units are schedule-agnostic (each unit factors a disjoint lane
 // range through the same kernels in the same order), so the service must
@@ -11,15 +11,20 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "core/batch_cholesky.hpp"
 #include "cpu/batch_factor.hpp"
 #include "cpu/recover.hpp"
+#include "cpu/simd/convert.hpp"
 #include "layout/generate.hpp"
 #include "layout/layout.hpp"
+#include "obs/histogram.hpp"
 #include "svc/batch_service.hpp"
 #include "util/aligned_buffer.hpp"
 
@@ -432,6 +437,88 @@ TEST(BatchService, GlobalServiceIsSingletonAndUsable) {
   Workload<float> w(layout);
   EXPECT_EQ(a.factor<float>(layout, w.data.span(), {}, w.info).failed_count,
             0);
+}
+
+// Every completed request lands in the svc.request_ns.<lane> histogram of
+// its precision, whichever entry point and mode carried it.
+TEST(BatchService, RequestLatencyRecordedInPrecisionLane) {
+  if constexpr (!obs::kEnabled) {
+    GTEST_SKIP() << "observability compiled out (IBCHOL_OBS=OFF)";
+  }
+  BatchService service({.num_threads = 2});
+  const BatchLayout layout = BatchLayout::interleaved(8, 64);
+  Workload<float> f32(layout);
+  Workload<double> f64(layout);
+  Workload<float> canon(BatchLayout::canonical(8, 64));
+  Workload<float> tiled_f32(layout);
+  Workload<double> tiled_f64(layout);
+  AlignedBuffer<std::uint16_t> bf16(layout.size_elems());
+  AlignedBuffer<std::uint16_t> fp16(layout.size_elems());
+  const auto elems = static_cast<std::int64_t>(layout.size_elems());
+  narrow_row(resolve_convert_isa(), StoragePrec::kBf16, f32.data.data(),
+             bf16.data(), elems, false);
+  narrow_row(resolve_convert_isa(), StoragePrec::kFp16, f32.data.data(),
+             fp16.data(), elems, false);
+  SubmitOptions as_bf16;
+  as_bf16.storage = StoragePrec::kBf16;
+  SubmitOptions as_fp16;
+  as_fp16.storage = StoragePrec::kFp16;
+
+  struct Case {
+    const char* mode;
+    std::string_view lane;
+    std::function<FactorFuture()> submit;
+  };
+  const Case cases[] = {
+      {"fp32 chunk", "fp32",
+       [&] { return service.submit<float>(layout, f32.data.span(), {}); }},
+      {"fp64 chunk", "fp64",
+       [&] { return service.submit<double>(layout, f64.data.span(), {}); }},
+      {"fp32 canonical", "fp32",
+       [&] {
+         return service.submit<float>(canon.layout, canon.data.span(), {});
+       }},
+      {"bf16 chunk", "bf16",
+       [&] {
+         return service.submit_mixed(layout, bf16.span(), {}, {}, nullptr,
+                                     as_bf16);
+       }},
+      {"fp16 chunk", "fp16",
+       [&] {
+         return service.submit_mixed(layout, fp16.span(), {}, {}, nullptr,
+                                     as_fp16);
+       }},
+      {"fp32 tiled", "fp32",
+       [&] {
+         return service.submit_tiled<float>(layout, tiled_f32.data.span());
+       }},
+      {"fp64 tiled", "fp64",
+       [&] {
+         return service.submit_tiled<double>(layout, tiled_f64.data.span());
+       }},
+  };
+  const std::string_view lanes[] = {"fp32", "fp64", "bf16", "fp16"};
+  const auto counts = [&] {
+    std::vector<std::uint64_t> c;
+    for (const std::string_view lane : lanes) {
+      c.push_back(obs::histogram("svc.request_ns." + std::string(lane))
+                      .snapshot()
+                      .count);
+    }
+    return c;
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.mode);
+    const std::vector<std::uint64_t> before = counts();
+    FactorFuture f = c.submit();
+    (void)f.wait();
+    EXPECT_EQ(f.status(), RequestStatus::kDone);
+    const std::vector<std::uint64_t> after = counts();
+    for (std::size_t i = 0; i < std::size(lanes); ++i) {
+      EXPECT_EQ(after[i] - before[i], lanes[i] == c.lane ? 1u : 0u)
+          << "lane " << lanes[i];
+    }
+  }
 }
 
 // The facade switch: IBCHOL_SERVICE=1 routes BatchCholesky through the

@@ -1,17 +1,17 @@
 // Google-benchmark microbenchmarks of the measured CPU substrate: layout
 // conversion, lane-block kernels by variant, whole-matrix registerized
 // execution, the canonical per-matrix baseline, the interpreter vs
-// specialized-executor head-to-head, and the batched solve.
+// vectorized-executor head-to-head, and the batched solve.
 //
 // These are the real-hardware counterpart of the SIMT model benches: the
 // interleave dimension maps to SIMD lanes, so the interleaved-vs-canonical
 // gap measured here is the CPU analog of the paper's coalescing gap, and
-// the interpreter-vs-specialized gap is the analog of interpreted tile
+// the interpreter-vs-vectorized gap is the analog of interpreted tile
 // loops vs the paper's generated fully unrolled kernels.
 //
 // Run with --json=<path> to skip the google-benchmark suite and instead
-// write a machine-readable summary (interpreter vs specialized vs
-// vectorized, canonical vs interleaved, per N) for cross-PR perf tracking
+// write a machine-readable summary (interpreter vs vectorized, canonical
+// vs interleaved, per N) for perf tracking across changes
 // (BENCH_*.json). --layout=chunked|interleaved selects the interleaved
 // layout the summary measures (default chunked); --chunk=N sets its chunk
 // size (for --layout=interleaved it sizes the pipeline's pack scratch;
@@ -158,18 +158,14 @@ void BM_FactorFastMath(benchmark::State& state) {
 }
 BENCHMARK(BM_FactorFastMath)->Arg(16)->Arg(32)->ArgName("n");
 
-// Interpreter vs specialized vs vectorized executor, same variant: the
-// dispatch-overhead head-to-head. For small n (full unrolling) this
-// compares the scratch whole-matrix loop, the fused compile-time kernel,
-// and the explicit-SIMD in-place kernel; for larger n it compares per-op
-// switch dispatch, the bound specialized table, and the intrinsic op
-// bodies.
+// Interpreter vs vectorized executor, same variant: the dispatch-overhead
+// head-to-head. For small n (full unrolling) this compares the scratch
+// whole-matrix loop and the explicit-SIMD in-place kernel; for larger n it
+// compares per-op switch dispatch and the intrinsic op bodies.
 void BM_FactorExec(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   TuningParams p = recommended_params(n);
-  p.exec = state.range(1) == 2   ? CpuExec::kVectorized
-           : state.range(1) == 1 ? CpuExec::kSpecialized
-                                 : CpuExec::kInterpreter;
+  p.exec = state.range(1) == 1 ? CpuExec::kVectorized : CpuExec::kInterpreter;
   const BatchLayout layout = BatchCholesky::make_layout(n, kBatch, p);
   const BatchCholesky chol(layout, p);
   AlignedBuffer<float> pristine(layout.size_elems());
@@ -184,7 +180,7 @@ void BM_FactorExec(benchmark::State& state) {
   set_flops(state, n, kBatch);
 }
 BENCHMARK(BM_FactorExec)
-    ->ArgsProduct({{4, 8, 16, 24, 32, 48, 64}, {0, 1, 2}})
+    ->ArgsProduct({{4, 8, 16, 24, 32, 48, 64}, {0, 1}})
     ->ArgNames({"n", "exec"});
 
 // Mixed-precision storage lane: matrices held as bf16/fp16 16-bit words,
@@ -515,8 +511,7 @@ int run_trace_scenario(const std::string& path) {
   return 0;
 }
 
-// Interpreter-vs-specialized-vs-vectorized and canonical-vs-interleaved
-// summary across the head-to-head sizes, written as one JSON document.
+// Interpreter-vs-vectorized and canonical-vs-interleaved summary across the head-to-head sizes, written as one JSON document.
 // `chunked` selects the summary's interleaved layout; `chunk` its chunk
 // size (for the simple interleaved layout it sizes the pipeline's pack
 // scratch, 0 = automatic). `prec` adds a reduced-precision storage lane
@@ -575,8 +570,6 @@ void write_exec_summary(const std::string& path, bool chunked, int chunk,
                        : static_cast<int>(il.padded_batch()));
     opt.exec = CpuExec::kInterpreter;
     const double interp = time_factor(il, ipristine, iwork, opt);
-    opt.exec = CpuExec::kSpecialized;
-    const double spec = time_factor(il, ipristine, iwork, opt);
     // The vectorized column reports the executor's production strategy:
     // the in-place fused/blocked whole-matrix pipeline wherever the
     // runtime-n body reaches (exactly what CpuExec::kAuto dispatches to),
@@ -612,17 +605,14 @@ void write_exec_summary(const std::string& path, bool chunked, int chunk,
     AlignedBuffer<float> cpristine(cl.size_elems());
     generate_spd_batch<float>(cl, cpristine.span());
     AlignedBuffer<float> cwork(cl.size_elems());
-    opt.exec = CpuExec::kSpecialized;
+    opt.exec = CpuExec::kInterpreter;
     const double canonical = time_factor(cl, cpristine, cwork, opt);
 
     os << (first ? "\n" : ",\n") << "    {\"n\": " << n
        << ", \"chunk_size\": " << eff_chunk
        << ", \"interp_gflops\": " << to_gflops(n, kBatch, interp)
-       << ", \"spec_gflops\": " << to_gflops(n, kBatch, spec)
        << ", \"vec_gflops\": " << to_gflops(n, kBatch, vec)
        << ", \"auto_gflops\": " << to_gflops(n, kBatch, autoex)
-       << ", \"exec_speedup\": " << (spec > 0.0 ? interp / spec : 0.0)
-       << ", \"vec_speedup\": " << (vec > 0.0 ? spec / vec : 0.0)
        << ", \"canonical_gflops\": " << to_gflops(n, kBatch, canonical)
        << ", \"interleaved_gflops\": " << to_gflops(n, kBatch, vec)
        << ", \"layout_speedup\": " << (vec > 0.0 ? canonical / vec : 0.0);

@@ -2,7 +2,7 @@
 // verify the winning kernel numerically on the CPU substrate.
 //
 //   $ autotune_explore [--sizes=8,16,24,32,48] [--batch=16384]
-//                      [--evaluator=model|cpu] [--exec=interp,spec,vectorized]
+//                      [--evaluator=model|cpu] [--exec=interp,vectorized,auto]
 //                      [--csv=sweep.csv] [--journal=sweep.jsonl] [--resume]
 //                      [--trace=sweep_trace.json]
 //
@@ -10,7 +10,7 @@
 // (fast); --evaluator=cpu measures every variant on the CPU substrate
 // instead (slow but real — use small sizes/batches). --exec adds the
 // executor axis to the space (comma-separated; default is the historical
-// specialized-only grid); vectorized entries sweep the host's auto-detected
+// interpreter-only grid); vectorized entries sweep the host's auto-detected
 // SIMD tier. Long measured sweeps should set --journal so completed points
 // survive an interruption; rerunning with --resume picks up where the
 // journal left off. --trace records one span per sweep point (plus one per

@@ -48,9 +48,9 @@
 # release chains are the thing being proved.
 #
 # --bench regenerates the canonical cross-PR perf summary BENCH_cpu.json
-# (interpreter vs specialized vs vectorized executor, plus the large-n
-# tiled lane merged in from fig_large_tiled and the instant-tuning lane
-# from fig_instant_tune) from the plain build.
+# (interpreter vs vectorized executor, plus the large-n tiled lane merged
+# in from fig_large_tiled and the instant-tuning lane from
+# fig_instant_tune) from the plain build.
 # Before overwriting, the fresh numbers are gated against the recorded
 # ones: a drop of more than 15% in vec_gflops at any n fails the check, so
 # a PR cannot silently regress the executor's throughput. When the gate

@@ -9,7 +9,7 @@
 // Line format (one object per line, fixed key order):
 //   {"n":24,"batch":16384,"nb":8,"looking":"top","chunked":1,
 //    "chunk_size":64,"unroll":"partial","math":"ieee","cache":"l1",
-//    "exec":"spec","seconds":1.234e-05,"gflops":56.7,"attempts":1,
+//    "exec":"interp","seconds":1.234e-05,"gflops":56.7,"attempts":1,
 //    "failed":0}
 //
 // Doubles are printed with %.17g so a journaled record parses back to the

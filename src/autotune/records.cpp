@@ -85,8 +85,8 @@ SweepDataset SweepDataset::from_csv(const CsvTable& table) {
   const std::size_t cca = table.column("cache");
   const std::size_t cs = table.column("seconds");
   const std::size_t cg = table.column("gflops");
-  // Datasets persisted before the specialized executor existed have no
-  // "exec" column; default those records to the specialized mode.
+  // Datasets persisted before the executor axis existed have no "exec"
+  // column; those records measured the default executor.
   const auto cex_it = std::find(table.header.begin(), table.header.end(),
                                 std::string("exec"));
   const bool has_exec = cex_it != table.header.end();
@@ -138,7 +138,7 @@ SweepDataset SweepDataset::from_csv(const CsvTable& table) {
     r.params.math = math_from_string(row[cma]);
     r.params.prefer_shared = row[cca] == "shared";
     r.params.exec =
-        has_exec ? cpu_exec_from_string(row[cex]) : CpuExec::kSpecialized;
+        has_exec ? cpu_exec_from_string(row[cex]) : CpuExec::kInterpreter;
     r.params.isa = has_isa ? simd_isa_from_string(row[cisa]) : SimdIsa::kAuto;
     r.params.storage = has_storage ? storage_prec_from_string(row[cst])
                                    : StoragePrec::kFp32;

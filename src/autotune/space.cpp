@@ -14,7 +14,7 @@ std::vector<TuningParams> enumerate_space(int n, const SpaceOptions& options) {
   // tier; the other executors ignore the tier and get exactly one point.
   std::vector<std::pair<CpuExec, SimdIsa>> execs;
   if (options.execs.empty()) {
-    execs.emplace_back(CpuExec::kSpecialized, SimdIsa::kAuto);
+    execs.emplace_back(CpuExec::kInterpreter, SimdIsa::kAuto);
   } else {
     for (const CpuExec e : options.execs) {
       if (e == CpuExec::kVectorized) {

@@ -28,8 +28,9 @@ struct SpaceOptions {
   bool include_cache_pref = false;  ///< add the L1-vs-shared carveout axis
   /// Executors to sweep. The paper's grid tunes one kernel implementation;
   /// on the CPU substrate the executor (and, for the vectorized one, the
-  /// SIMD tier) is a sixth parameter of the space. Empty = specialized only
-  /// (the historical grid, so existing sweep datasets stay comparable).
+  /// SIMD tier) is a sixth parameter of the space. Empty = the interpreter
+  /// only (the historical grid's keys and factors, so existing sweep
+  /// datasets stay comparable).
   std::vector<CpuExec> execs;
   /// ISA tiers enumerated for CpuExec::kVectorized entries in `execs`
   /// (ignored for the other executors). kAuto = the host's best tier.

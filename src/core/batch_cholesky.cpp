@@ -37,9 +37,8 @@ TuningParams recommended_params(int n) {
   p.math = MathMode::kIeee;
   // kAuto consults the measured per-(n, isa) dispatch table in the chunk
   // pipeline: the vectorized fused/blocked bodies where they win, the
-  // specialized executor (the CPU analog of the paper's generated
-  // pyexpander kernels) elsewhere. The interpreter exists as a correctness
-  // oracle, not a production path.
+  // interpreter (also the correctness oracle) on the scalar tier and past
+  // the vectorized whole-matrix ceiling.
   p.exec = CpuExec::kAuto;
   if (n <= 20) {
     // Small matrices: full unrolling keeps the whole factorization in

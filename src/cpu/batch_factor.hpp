@@ -23,13 +23,12 @@ struct CpuFactorOptions {
   Unroll unroll = Unroll::kPartial;    ///< full = whole-matrix registerized
   MathMode math = MathMode::kIeee;
   Triangle triangle = Triangle::kLower;  ///< which factor to produce
-  /// Tile-program execution mode for interleaved layouts: the specialized
-  /// executor (compile-time tile dims, bound dispatch table, fused
-  /// whole-program kernels for n ≤ kMaxFusedDim), the vectorized executor
-  /// (explicit SIMD intrinsics with cpuid runtime dispatch), or the
-  /// op-by-op interpreter (the correctness oracle). Under IEEE math all
-  /// three produce bit-identical factors.
-  CpuExec exec = CpuExec::kSpecialized;
+  /// Tile-program execution mode for interleaved layouts: the op-by-op
+  /// interpreter (the default and the correctness oracle), the vectorized
+  /// executor (explicit SIMD intrinsics with cpuid runtime dispatch), or
+  /// kAuto (the measured per-(n, tier) choice between the two). Under IEEE
+  /// math both produce bit-identical factors.
+  CpuExec exec = CpuExec::kInterpreter;
   /// ISA tier for exec == kVectorized (ignored otherwise). kAuto picks the
   /// best tier the host supports; explicit requests are clamped to the
   /// detected tier. IBCHOL_SIMD_ISA in the environment overrides kAuto.

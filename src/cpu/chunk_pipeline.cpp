@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <optional>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -17,7 +16,6 @@
 #include "cpu/simd/vec_exec.hpp"
 #include "cpu/thread_util.hpp"
 #include "cpu/tile_exec.hpp"
-#include "cpu/tile_exec_spec.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
 #include "util/aligned_buffer.hpp"
@@ -65,24 +63,24 @@ CpuExec resolve_cpu_exec(int n, SimdIsa isa) {
   // for provenance): with the chunk-resident pipeline the vectorized
   // executor's fused (n ≤ kMaxVecFusedDim) and cache-blocked
   // (n ≥ kVecBlockedMinDim) in-place bodies win at every n the runtime-n
-  // body supports, on both AVX tiers. The scalar tier loses to the
-  // specialized executor (whose compile-time tile kernels the compiler
-  // autovectorizes with the build's own -march flags), as does any n past
-  // kMaxVecWholeDim, where the vectorized path would fall back to the
-  // interpreter's scratch triangle anyway.
+  // body supports, on both AVX tiers. The scalar tier goes to the
+  // interpreter (whose lane loops the compiler autovectorizes with the
+  // build's own -march flags), as does any n past kMaxVecWholeDim, where
+  // the vectorized path would fall back to the interpreter's scratch
+  // triangle anyway.
   struct Row {
     int max_n;
     CpuExec exec;
   };
   static constexpr Row kAvxTable[] = {
       {kMaxVecWholeDim, CpuExec::kVectorized},
-      {std::numeric_limits<int>::max(), CpuExec::kSpecialized},
+      {std::numeric_limits<int>::max(), CpuExec::kInterpreter},
   };
   static constexpr Row kScalarTable[] = {
-      {std::numeric_limits<int>::max(), CpuExec::kSpecialized},
+      {std::numeric_limits<int>::max(), CpuExec::kInterpreter},
   };
   // Past the whole-dim ceiling every small-n executor degrades (the
-  // specialized path interprets, the vectorized path falls back): count
+  // vectorized path falls back to the interpreter's scratch triangle): count
   // it, so a facade that should have routed to the tiled large-N path is
   // visible in the obs snapshot rather than silently slow.
   if (n > kMaxVecWholeDim) IBCHOL_COUNT("cpu.large_n_fallback", 1);
@@ -265,16 +263,11 @@ inline void run_lane_block(const ChunkExecPlan<T>& plan, T* base,
                                          plan.triangle);
     } else {
       plan.vk->run_program(*plan.program, plan.math, base, estride, local_info,
-                           plan.triangle, plan.vec_nt_stores);
+                           plan.triangle);
     }
-  } else if (plan.fused_spec) {
-    execute_fused_lane_block<T>(plan.n, plan.math, base, estride, local_info,
-                                plan.triangle);
   } else if (plan.whole_matrix) {
     execute_whole_matrix_lane_block<T>(plan.n, plan.math, base, estride,
                                        local_info, wm_scratch, plan.triangle);
-  } else if (plan.spec != nullptr) {
-    plan.spec->run(base, estride, local_info, plan.triangle);
   } else {
     execute_program_lane_block<T>(*plan.program, plan.math, base, estride,
                                   local_info, plan.triangle);
@@ -316,9 +309,6 @@ void note_exec_dispatch(CpuExec exec) {
     case CpuExec::kInterpreter:
       IBCHOL_COUNT("cpu.exec.interpreter", 1);
       break;
-    case CpuExec::kSpecialized:
-      IBCHOL_COUNT("cpu.exec.specialized", 1);
-      break;
     case CpuExec::kVectorized:
       IBCHOL_COUNT("cpu.exec.vectorized", 1);
       break;
@@ -343,8 +333,8 @@ ChunkExecPlan<T> resolve_plan_exec(const BatchLayout& layout,
   // kAuto: consult the measured dispatch table. When it picks the
   // vectorized executor the whole-matrix pipeline (fused/blocked) is the
   // winning strategy at every supported n, so full unrolling is implied;
-  // when it picks the specialized executor the caller's unrolling choice
-  // stands (the table only fires for n where both unrollings are valid).
+  // when it picks the interpreter the caller's unrolling choice stands
+  // (the table only fires for n where both unrollings are valid).
   plan.exec = options.exec;
   plan.whole_matrix = options.unroll == Unroll::kFull;
   if (plan.exec == CpuExec::kAuto) {
@@ -357,18 +347,14 @@ ChunkExecPlan<T> resolve_plan_exec(const BatchLayout& layout,
   plan.math = options.math;
   plan.triangle = options.triangle;
   plan.program = program;
-  plan.fused_spec = plan.exec == CpuExec::kSpecialized && plan.whole_matrix &&
-                    plan.n <= kMaxFusedDim;
   if (plan.exec == CpuExec::kVectorized) {
     // Tier resolution (cpuid + IBCHOL_SIMD_ISA override) happens once, out
     // here; the intrinsic bodies then run with no per-block branching.
     plan.vk = &vec_kernels<T>(options.isa);
-    plan.vec_nt_stores = std::getenv("IBCHOL_VEC_NT_STORES") != nullptr;
   }
   plan.need_wm_scratch =
-      plan.whole_matrix && (plan.exec == CpuExec::kVectorized
-                                ? plan.n > kMaxVecWholeDim
-                                : !plan.fused_spec);
+      plan.whole_matrix &&
+      (plan.exec != CpuExec::kVectorized || plan.n > kMaxVecWholeDim);
   plan.wm_scratch_elems =
       plan.need_wm_scratch ? whole_matrix_scratch_elems(plan.n) : 0;
   return plan;
@@ -386,12 +372,11 @@ ChunkExecPlan<T> plan_chunk_exec(const BatchLayout& layout, const T* data,
   const std::int64_t padded = layout.padded_batch();
   const std::int64_t elems = static_cast<std::int64_t>(plan.n) * plan.n;
 
-  // Pack only the simple-interleaved layout, only when a chunk is a strict
-  // subset of the batch (otherwise scratch would be a copy of the whole
-  // buffer with the identical stride), and never for the interpreter,
-  // which stays the untouched oracle path.
-  if (layout.kind() == LayoutKind::kInterleaved &&
-      plan.exec != CpuExec::kInterpreter) {
+  // Pack only the simple-interleaved layout, and only when a chunk is a
+  // strict subset of the batch (otherwise scratch would be a copy of the
+  // whole buffer with the identical stride). Packing only copies bytes, so
+  // every executor follows the same rule.
+  if (layout.kind() == LayoutKind::kInterleaved) {
     // Automatic sizing only packs once the batch has clearly outgrown the
     // cache hierarchy (pack_threshold_bytes); below that the in-place
     // sweeps hit cache anyway and the pack/unpack round trip is pure
@@ -546,11 +531,6 @@ FactorResult run_chunk_pipeline(const BatchLayout& layout, std::span<S> data,
     plan = plan_chunk_exec_mixed(layout, program, options, storage);
   }
   note_exec_dispatch(plan.exec);
-  std::optional<SpecializedProgram<T>> spec;
-  if (plan.needs_spec_program()) {
-    spec.emplace(*program, options.math);
-    plan.spec = &*spec;
-  }
 
   std::int64_t failed = 0;
   std::int64_t first_failed = std::numeric_limits<std::int64_t>::max();

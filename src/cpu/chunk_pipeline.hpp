@@ -83,9 +83,9 @@ inline constexpr int kVecBlockedMinDim = 28;
 /// `isa` (kAuto = the host's detected tier). Seeded from measured
 /// crossovers on the CPU substrate: the vectorized fused/blocked in-place
 /// pipeline wins at every n ≤ kMaxVecWholeDim on the AVX tiers; the scalar
-/// tier and larger n belong to the specialized executor (whose tile
-/// kernels the compiler autovectorizes). An installed instant-tuning
-/// override (set_cpu_exec_overrides) wins over the static table for its
+/// tier and larger n belong to the interpreter (whose lane loops the
+/// compiler autovectorizes). An installed instant-tuning override
+/// (set_cpu_exec_overrides) wins over the static table for its
 /// (n, resolved tier) entries. Never returns kAuto.
 [[nodiscard]] CpuExec resolve_cpu_exec(int n, SimdIsa isa);
 
@@ -113,8 +113,6 @@ void unpack_chunk(const T* src, std::int64_t lanes, T* dst,
                   std::int64_t dst_stride, std::int64_t elems,
                   bool nt_stores);
 
-template <typename T>
-class SpecializedProgram;
 template <typename T>
 struct VecKernels;
 
@@ -147,23 +145,19 @@ void note_exec_dispatch(CpuExec exec);
 /// persistent work-stealing service (src/svc/) drive the same stage
 /// functions as the OpenMP driver below.
 ///
-/// The struct holds non-owning pointers only (program/spec/vk outlive the
-/// run; spec is set by the caller when needs_spec_program()), so a plan is
-/// trivially copyable and can live in a pooled request slot without heap
-/// traffic.
+/// The struct holds non-owning pointers only (program/vk outlive the run),
+/// so a plan is trivially copyable and can live in a pooled request slot
+/// without heap traffic.
 template <typename T>
 struct ChunkExecPlan {
   BatchLayout layout = BatchLayout::interleaved(1, 1);
   int n = 0;
-  CpuExec exec = CpuExec::kSpecialized;
+  CpuExec exec = CpuExec::kInterpreter;
   bool whole_matrix = false;  ///< full unrolling
-  bool fused_spec = false;    ///< specialized fused whole-program kernel
   MathMode math = MathMode::kIeee;
   Triangle triangle = Triangle::kLower;
   const TileProgram* program = nullptr;
-  const SpecializedProgram<T>* spec = nullptr;
   const VecKernels<T>* vk = nullptr;
-  bool vec_nt_stores = false;  ///< run_program streaming stores (env hook)
   bool need_wm_scratch = false;  ///< interpreter scratch-triangle fallback
 
   /// Element width of the *caller's* batch. kFp32 is the classic path
@@ -184,12 +178,6 @@ struct ChunkExecPlan {
   bool nt_stores = false;  ///< packed write-back streams past the caches
   std::size_t pack_scratch_elems = 0;  ///< n²·pack_lanes, 0 when in-place
   std::size_t wm_scratch_elems = 0;    ///< per-worker whole-matrix scratch
-
-  /// True when the caller must bind a SpecializedProgram (specialized
-  /// executor, partial unrolling) into `spec` before running units.
-  [[nodiscard]] bool needs_spec_program() const noexcept {
-    return exec == CpuExec::kSpecialized && !whole_matrix && !fused_spec;
-  }
 
   [[nodiscard]] std::int64_t first_lane(std::int64_t unit) const noexcept {
     return unit * unit_lanes;

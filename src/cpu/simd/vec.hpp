@@ -2,18 +2,19 @@
 //
 // Every tile-kernel body in vec_exec_impl.hpp is a template over a trait
 // class V describing one vector of V::kWidth lanes: how to load/store it
-// aligned (and with a non-temporal hint), the FMA forms the kernels use,
-// and the square root / reciprocal of the two math policies. Three trait
-// families exist: this portable one (plain arrays + std::fma, compiled
-// unconditionally — the scalar tier), and the AVX2 / AVX-512 intrinsic
-// traits in vec_avx2.hpp / vec_avx512.hpp, each compiled in its own
-// translation unit with per-file ISA flags.
+// aligned, the FMA forms the kernels use, and the square root / reciprocal
+// of the two math policies. Three trait families exist: this portable one
+// (plain arrays, compiled unconditionally — the scalar tier), and the
+// AVX2 / AVX-512 intrinsic traits in vec_avx2.hpp / vec_avx512.hpp, each
+// compiled in its own translation unit with per-file ISA flags.
 //
 // Math-policy contract (see DESIGN.md §7): the IEEE operations
 // (sqrt/div/fma) are correctly rounded on every tier, so IEEE-math factors
 // are bit-identical across tiers and to the interpreter oracle (which the
-// compiler contracts onto FMA the same way). Fast-math operations are
-// approximate by contract; each tier uses its best native approximation.
+// compiler contracts onto FMA the same way). On a build without FMA the
+// scalar tier multiplies and subtracts exactly as the interpreter does, so
+// it stays bit-identical there too. Fast-math operations are approximate
+// by contract; each tier uses its best native approximation.
 #pragma once
 
 #include <cmath>
@@ -44,7 +45,6 @@ struct VecGeneric {
   static void store(T* p, V x) {
     for (int l = 0; l < W; ++l) p[l] = x.v[l];
   }
-  static void store_nt(T* p, V x) { store(p, x); }
 
   static V set1(T x) {
     V r;
@@ -58,11 +58,17 @@ struct VecGeneric {
     return r;
   }
 
-  /// c - a*b as a single rounding — matches the vfnmadd the optimizer
-  /// contracts the interpreter's update loops into.
+  /// c - a*b, rounded as the interpreter's `c -= a*b` is: once, matching
+  /// the vfnmadd the optimizer contracts the interpreter's update loops
+  /// into, when the build targets FMA; otherwise a multiply and a subtract,
+  /// since std::fma is then a slow libm routine with a different rounding.
   static V fnmadd(V a, V b, V c) {
     V r;
+#if defined(__FMA__)
     for (int l = 0; l < W; ++l) r.v[l] = std::fma(-a.v[l], b.v[l], c.v[l]);
+#else
+    for (int l = 0; l < W; ++l) r.v[l] = c.v[l] - a.v[l] * b.v[l];
+#endif
     return r;
   }
 

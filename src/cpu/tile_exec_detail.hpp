@@ -1,5 +1,5 @@
 // Shared internals of the tile-program executors (interpreter and
-// specialized). Not part of the public API.
+// vectorized). Not part of the public API.
 #pragma once
 
 #include <cstdint>

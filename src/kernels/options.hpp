@@ -27,21 +27,15 @@ enum class MathMode : std::uint8_t { kIeee, kFastMath };
 enum class Triangle : std::uint8_t { kLower, kUpper };
 
 /// How the CPU substrate executes a tile program. The interpreter walks the
-/// op list with runtime trip counts (a switch per op); the specialized
-/// executor binds each op to a template instantiation with compile-time
-/// tile dimensions — the CPU analog of the paper's generated, fully
-/// unrolled pyexpander kernels; the vectorized executor runs explicit SIMD
-/// intrinsic lane-block bodies selected by runtime ISA dispatch (see
-/// cpu/simd/). All produce identical schedules; the interpreter is kept as
-/// the correctness oracle. kAuto consults the measured per-(n, isa)
+/// op list with runtime trip counts (a switch per op) in lane loops the
+/// compiler autovectorizes; it is the correctness oracle, and kAuto's
+/// choice where the vectorized executor does not win. The vectorized
+/// executor runs explicit SIMD intrinsic lane-block bodies selected by
+/// runtime ISA dispatch (see cpu/simd/) and is the production path. Both
+/// produce identical schedules. kAuto consults the measured per-(n, isa)
 /// dispatch table (cpu/chunk_pipeline.hpp) and resolves to the executor
 /// that wins at that size on the detected SIMD tier.
-enum class CpuExec : std::uint8_t {
-  kInterpreter,
-  kSpecialized,
-  kVectorized,
-  kAuto
-};
+enum class CpuExec : std::uint8_t { kInterpreter, kVectorized, kAuto };
 
 /// Instruction-set tier of the vectorized executor. kAuto resolves to the
 /// widest tier the executing CPU supports at runtime (cpuid dispatch); the

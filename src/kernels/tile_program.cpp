@@ -29,7 +29,6 @@ std::string to_string(Triangle triangle) {
 std::string to_string(CpuExec exec) {
   switch (exec) {
     case CpuExec::kInterpreter: return "interp";
-    case CpuExec::kSpecialized: return "spec";
     case CpuExec::kVectorized: return "vectorized";
     case CpuExec::kAuto: return "auto";
   }
@@ -66,8 +65,9 @@ MathMode math_from_string(const std::string& s) {
 }
 
 CpuExec cpu_exec_from_string(const std::string& s) {
-  if (s == "interp") return CpuExec::kInterpreter;
-  if (s == "spec") return CpuExec::kSpecialized;
+  // "spec" named a compile-time specialized executor whose factors were
+  // byte-identical to the interpreter's; records that name it still load.
+  if (s == "interp" || s == "spec") return CpuExec::kInterpreter;
   if (s == "vectorized") return CpuExec::kVectorized;
   if (s == "auto") return CpuExec::kAuto;
   throw Error("unknown cpu exec mode: " + s);

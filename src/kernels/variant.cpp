@@ -51,7 +51,6 @@ std::string TuningParams::key() const {
   // The executor mode (and, for the vectorized executor, its ISA tier) is
   // appended only when it deviates from the default so existing
   // datasets/caches keyed on the historical spelling stay valid.
-  if (exec == CpuExec::kInterpreter) os << "_interp";
   if (exec == CpuExec::kAuto) os << "_auto";
   if (exec == CpuExec::kVectorized) {
     os << "_vec";

@@ -27,11 +27,11 @@ struct TuningParams {
   Unroll unroll = Unroll::kPartial;
   MathMode math = MathMode::kIeee;
   bool prefer_shared = false;  ///< carveout: false = prefer L1
-  /// CPU-substrate execution mode (not a paper tuning axis): specialized
-  /// compile-time kernels (default), explicit-SIMD vectorized kernels, or
-  /// the op-by-op interpreter kept as the correctness oracle. Model
+  /// CPU-substrate execution mode (not a paper tuning axis): the op-by-op
+  /// interpreter (default; also the correctness oracle), explicit-SIMD
+  /// vectorized kernels, or kAuto's measured per-(n, tier) choice. Model
   /// evaluators ignore it; measured evaluators honor it.
-  CpuExec exec = CpuExec::kSpecialized;
+  CpuExec exec = CpuExec::kInterpreter;
   /// ISA tier of the vectorized executor (the sweep's sixth parameter —
   /// vector width). kAuto picks the widest tier the host supports via
   /// runtime cpuid dispatch; explicit tiers force a narrower body (clamped

@@ -18,7 +18,6 @@
 
 #include "cpu/chunk_pipeline.hpp"
 #include "cpu/thread_util.hpp"
-#include "cpu/tile_exec_spec.hpp"
 #include "obs/counters.hpp"
 #include "obs/histogram.hpp"
 #include "obs/trace.hpp"
@@ -154,10 +153,6 @@ struct alignas(64) Slot : Request {
   RecoveryReport recovery;
 };
 
-template <typename T>
-using SpecCache = std::map<std::tuple<const TileProgram*, int>,
-                           std::unique_ptr<SpecializedProgram<T>>>;
-
 struct ServiceShared {
   ServiceOptions opts;
   int threads = 1;      ///< initial worker count
@@ -193,11 +188,10 @@ struct ServiceShared {
   std::mutex wd_mu;
   std::condition_variable wd_cv;
 
-  // Program/specialization caches: built once per configuration, reused
-  // by every later request (the steady-state zero-allocation path).
+  // Program and DAG caches: built once per configuration, reused by every
+  // later request (the steady-state zero-allocation path).
   std::mutex cache_mu;
   std::map<std::tuple<int, int, int>, std::unique_ptr<TileProgram>> programs;
-  std::tuple<SpecCache<float>, SpecCache<double>> specs;
   /// Tiled DAG specs keyed (n, nb, clamped lookahead).
   std::map<std::tuple<int, int, int>, std::unique_ptr<tiled::DagSpec>> dags;
 };
@@ -1149,17 +1143,6 @@ const TileProgram* cached_program(ServiceShared& s, int n, int nb,
   });
 }
 
-template <typename T>
-const SpecializedProgram<T>* cached_spec(ServiceShared& s,
-                                         const TileProgram* program,
-                                         MathMode math) {
-  return cached(s, std::get<SpecCache<T>>(s.specs),
-                {program, static_cast<int>(math)}, [&] {
-                  return std::make_unique<SpecializedProgram<T>>(*program,
-                                                                 math);
-                });
-}
-
 /// Looks up (building on miss) the shared DAG spec for (n, nb, lookahead).
 /// The lookahead is clamped before keying so equivalent requests share one
 /// spec. Throws ibchol::Error on nt > kMaxNt — on the submitting thread.
@@ -1173,8 +1156,8 @@ const tiled::DagSpec* cached_dag(ServiceShared& s, int n, int nb,
 
 /// Resolves a chunk-mode plan on the submitting thread, so every
 /// precondition failure surfaces there: the cached tile program when
-/// partial unrolling needs one the caller did not give, the plan, and the
-/// cached specialized program it may bind. S is the batch's storage type.
+/// partial unrolling needs one the caller did not give, then the plan.
+/// S is the batch's storage type.
 template <typename T, typename S>
 ChunkExecPlan<T> plan_request(ServiceShared& s, const BatchLayout& layout,
                               const S* data, const TileProgram* program,
@@ -1189,9 +1172,6 @@ ChunkExecPlan<T> plan_request(ServiceShared& s, const BatchLayout& layout,
     plan = plan_chunk_exec<T>(layout, data, program, options);
   } else {
     plan = plan_chunk_exec_mixed(layout, program, options, storage);
-  }
-  if (plan.needs_spec_program()) {
-    plan.spec = cached_spec<T>(s, program, options.math);
   }
   note_exec_dispatch(plan.exec);
   return plan;

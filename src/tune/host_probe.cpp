@@ -109,7 +109,7 @@ double probe_copy_bandwidth() {
 
 // Vector FMA throughput, single thread: eight independent accumulators over
 // an L1-resident array, autovectorized by the build's own -march flags (the
-// same flags the specialized executor's kernels compile under). Counting an
+// same flags the interpreter's lane loops compile under). Counting an
 // FMA as two flops.
 double probe_fma_throughput() {
   constexpr int kElems = 4096;

@@ -12,9 +12,8 @@ namespace ibchol::tune {
 
 SpaceOptions default_instant_space() {
   SpaceOptions space;
-  // Both production executors; the interpreter is a correctness oracle and
-  // never a candidate worth probing.
-  space.execs = {CpuExec::kSpecialized, CpuExec::kVectorized};
+  // The two executors kAuto chooses between.
+  space.execs = {CpuExec::kInterpreter, CpuExec::kVectorized};
   space.isas = {SimdIsa::kAuto};
   return space;
 }

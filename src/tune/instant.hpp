@@ -43,8 +43,8 @@
 namespace ibchol::tune {
 
 /// The search domain instant tuning covers by default: both interleaved
-/// layouts, the two production executors (the interpreter is a correctness
-/// oracle, not a candidate), the host's best tier.
+/// layouts, the two executors kAuto chooses between (interpreter and
+/// vectorized), the host's best tier.
 [[nodiscard]] SpaceOptions default_instant_space();
 
 struct InstantOptions {

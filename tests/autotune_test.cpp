@@ -49,14 +49,13 @@ TEST(Space, AllPointsValidAndDistinct) {
 }
 
 TEST(Space, ExecutorAxisMultipliesSpace) {
-  // Three executors, two vectorized tiers: the 288-point grid gains a
-  // factor of (1 + 1 + 2) = 4.
+  // Two executors, two vectorized tiers: the 288-point grid gains a factor
+  // of (1 + 2) = 3.
   SpaceOptions opt;
-  opt.execs = {CpuExec::kInterpreter, CpuExec::kSpecialized,
-               CpuExec::kVectorized};
+  opt.execs = {CpuExec::kInterpreter, CpuExec::kVectorized};
   opt.isas = {SimdIsa::kScalar, SimdIsa::kAvx2};
   const auto space = enumerate_space(64, opt);
-  EXPECT_EQ(space.size(), 288u * 4);
+  EXPECT_EQ(space.size(), 288u * 3);
   std::set<std::string> keys;
   for (const auto& p : space) {
     p.validate(64);
@@ -65,10 +64,11 @@ TEST(Space, ExecutorAxisMultipliesSpace) {
 }
 
 TEST(Space, DefaultExecAxisMatchesHistoricalGrid) {
-  // Leaving execs empty keeps the historical specialized-only grid so old
-  // sweep datasets remain comparable point for point.
+  // Leaving execs empty keeps the historical single-executor grid (on the
+  // interpreter, whose keys carry no executor suffix) so old sweep datasets
+  // remain comparable point for point.
   for (const auto& p : enumerate_space(16, {})) {
-    EXPECT_EQ(p.exec, CpuExec::kSpecialized);
+    EXPECT_EQ(p.exec, CpuExec::kInterpreter);
     EXPECT_EQ(p.isa, SimdIsa::kAuto);
   }
 }

@@ -178,34 +178,34 @@ TEST(BatchFactor, NbClampedToN) {
 template <typename T>
 void expect_exec_equal(const BatchLayout& layout, const CpuFactorOptions& base,
                        T tol) {
-  AlignedBuffer<T> interp(layout.size_elems()), spec(layout.size_elems());
+  AlignedBuffer<T> interp(layout.size_elems()), vec(layout.size_elems());
   generate_spd_batch<T>(layout, interp.span());
-  std::copy(interp.begin(), interp.end(), spec.begin());
+  std::copy(interp.begin(), interp.end(), vec.begin());
 
   CpuFactorOptions oi = base;
   oi.exec = CpuExec::kInterpreter;
-  CpuFactorOptions os = base;
-  os.exec = CpuExec::kSpecialized;
-  std::vector<std::int32_t> info_i(layout.batch()), info_s(layout.batch());
+  CpuFactorOptions ov = base;
+  ov.exec = CpuExec::kVectorized;
+  std::vector<std::int32_t> info_i(layout.batch()), info_v(layout.batch());
   const FactorResult ri = factor_batch_cpu<T>(layout, interp.span(), oi,
                                               info_i);
-  const FactorResult rs = factor_batch_cpu<T>(layout, spec.span(), os,
-                                              info_s);
-  EXPECT_EQ(ri.failed_count, rs.failed_count);
-  EXPECT_EQ(ri.first_failed, rs.first_failed);
-  EXPECT_EQ(info_i, info_s);
+  const FactorResult rv = factor_batch_cpu<T>(layout, vec.span(), ov,
+                                              info_v);
+  EXPECT_EQ(ri.failed_count, rv.failed_count);
+  EXPECT_EQ(ri.first_failed, rv.first_failed);
+  EXPECT_EQ(info_i, info_v);
   for (std::size_t i = 0; i < interp.size(); ++i) {
-    ASSERT_NEAR(interp[i], spec[i],
+    ASSERT_NEAR(interp[i], vec[i],
                 tol * std::max(T{1}, std::abs(interp[i])))
         << "elem " << i;
   }
 }
 
 TEST(BatchFactor, ExecutorsAgreeAcrossVariants) {
-  // The specialized executor must match the interpreter through the public
+  // The vectorized executor must match the interpreter through the public
   // driver: tile sizes (incl. n % nb != 0), looking orders, both unroll
-  // modes (full engages the fused path for n <= 8), both triangles, both
-  // element types.
+  // modes (full engages the fused kernels for small n), both triangles,
+  // both element types.
   for (const int n : {3, 8, 11, 24}) {
     for (const int nb : {1, 3, 8}) {
       const auto layout = BatchLayout::interleaved_chunked(n, 70, 32);
@@ -220,7 +220,7 @@ TEST(BatchFactor, ExecutorsAgreeAcrossVariants) {
       expect_exec_equal<double>(layout, opt, 1e-13);
     }
   }
-  // Full unroll: fused specialization vs whole-matrix interpreter.
+  // Full unroll: fused vectorized kernel vs whole-matrix interpreter.
   for (const int n : {2, 5, 8}) {
     const auto layout = BatchLayout::interleaved(n, 64);
     CpuFactorOptions opt;
@@ -233,7 +233,7 @@ TEST(BatchFactor, ExecutorsAgreeAcrossVariants) {
 
 TEST(BatchFactor, ExecutorsAgreeOnFailures) {
   // Poisoned matrices must report identical per-lane pivot columns under
-  // both executors, fused path included.
+  // both executors, fused kernel included.
   for (const auto unroll : {Unroll::kPartial, Unroll::kFull}) {
     const auto layout = BatchLayout::interleaved_chunked(8, 200, 32);
     AlignedBuffer<float> a(layout.size_elems()), b(layout.size_elems());
@@ -244,16 +244,16 @@ TEST(BatchFactor, ExecutorsAgreeOnFailures) {
     CpuFactorOptions oi;
     oi.unroll = unroll;
     oi.exec = CpuExec::kInterpreter;
-    CpuFactorOptions os = oi;
-    os.exec = CpuExec::kSpecialized;
-    std::vector<std::int32_t> info_i(200), info_s(200);
+    CpuFactorOptions ov = oi;
+    ov.exec = CpuExec::kVectorized;
+    std::vector<std::int32_t> info_i(200), info_v(200);
     const FactorResult ri = factor_batch_cpu<float>(layout, a.span(), oi,
                                                     info_i);
-    const FactorResult rs = factor_batch_cpu<float>(layout, b.span(), os,
-                                                    info_s);
+    const FactorResult rv = factor_batch_cpu<float>(layout, b.span(), ov,
+                                                    info_v);
     EXPECT_EQ(ri.failed_count, 2);
-    EXPECT_EQ(rs.failed_count, 2);
-    EXPECT_EQ(info_i, info_s);
+    EXPECT_EQ(rv.failed_count, 2);
+    EXPECT_EQ(info_i, info_v);
   }
 }
 

@@ -216,15 +216,15 @@ TEST(ChunkPipeline, PackedMatchesInPlaceVectorizedDouble) {
   run_packed_vs_in_place<double>(48, CpuExec::kVectorized, Unroll::kFull);
 }
 
-TEST(ChunkPipeline, PackedMatchesInPlaceSpecializedPartial) {
-  run_packed_vs_in_place<float>(24, CpuExec::kSpecialized, Unroll::kPartial);
+TEST(ChunkPipeline, PackedMatchesInPlaceInterpreterPartial) {
+  run_packed_vs_in_place<float>(24, CpuExec::kInterpreter, Unroll::kPartial);
 }
 
 TEST(ChunkPipeline, PackedMatchesInPlaceSmallFused) {
-  // n below the fused cutoffs exercises the fused whole-program kernels
-  // through the packed staging.
+  // n below the fused cutoff exercises the vectorized fused kernel, and the
+  // interpreter's whole-matrix body, through the packed staging.
   run_packed_vs_in_place<float>(8, CpuExec::kVectorized, Unroll::kFull);
-  run_packed_vs_in_place<float>(6, CpuExec::kSpecialized, Unroll::kFull);
+  run_packed_vs_in_place<float>(6, CpuExec::kInterpreter, Unroll::kFull);
 }
 
 TEST(ChunkPipeline, NtStorePathBitIdentical) {
@@ -287,10 +287,10 @@ TEST(ChunkPipeline, AutoScratchSizingMatchesExplicitChunk) {
 
 // ------------------------------------------------------ kAuto dispatch ---
 
-TEST(ResolveCpuExec, ScalarTierPrefersSpecialized) {
+TEST(ResolveCpuExec, ScalarTierPrefersInterpreter) {
   ScopedEnv env("IBCHOL_SIMD_ISA", "scalar");
   for (const int n : {4, 8, 16, 24, 32, 64, 65, 128}) {
-    EXPECT_EQ(resolve_cpu_exec(n, SimdIsa::kAuto), CpuExec::kSpecialized)
+    EXPECT_EQ(resolve_cpu_exec(n, SimdIsa::kAuto), CpuExec::kInterpreter)
         << "n=" << n;
   }
 }
@@ -305,7 +305,7 @@ TEST(ResolveCpuExec, AvxTiersVectorizeUpToWholeMatrixDim) {
         << "n=" << n;
   }
   for (const int n : {kMaxVecWholeDim + 1, 96, 128}) {
-    EXPECT_EQ(resolve_cpu_exec(n, SimdIsa::kAuto), CpuExec::kSpecialized)
+    EXPECT_EQ(resolve_cpu_exec(n, SimdIsa::kAuto), CpuExec::kInterpreter)
         << "n=" << n;
   }
 }

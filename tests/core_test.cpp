@@ -52,6 +52,13 @@ TEST(TuningParams, ThreadsPerBlock) {
 TEST(TuningParams, KeyIsStableAndDistinct) {
   TuningParams a, b;
   EXPECT_EQ(a.key(), b.key());
+  // The default executor adds no suffix, so keys written by default points
+  // (datasets, journals, tune caches, the SIMT model's jitter seed) keep
+  // their spelling.
+  EXPECT_EQ(a.key(), "nb8_top_c64_partial_ieee_l1");
+  b.exec = CpuExec::kVectorized;
+  EXPECT_EQ(b.key(), "nb8_top_c64_partial_ieee_l1_vec");
+  b = a;
   b.looking = Looking::kRight;
   EXPECT_NE(a.key(), b.key());
   b = a;

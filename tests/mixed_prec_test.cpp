@@ -113,10 +113,10 @@ TEST(MixedPrec, ExecModesBitIdentical) {
   AlignedBuffer<std::uint16_t> ref(f.layout.size_elems());
   std::copy(f.u16.begin(), f.u16.end(), ref.begin());
   CpuFactorOptions opt;
-  opt.exec = CpuExec::kSpecialized;
+  opt.exec = CpuExec::kInterpreter;
   ASSERT_TRUE(
       factor_batch_cpu_mixed(f.layout, ref.span(), f.prec, opt).ok());
-  for (CpuExec exec : {CpuExec::kVectorized, CpuExec::kInterpreter}) {
+  for (CpuExec exec : {CpuExec::kVectorized, CpuExec::kAuto}) {
     AlignedBuffer<std::uint16_t> alt(f.layout.size_elems());
     std::copy(f.u16.begin(), f.u16.end(), alt.begin());
     CpuFactorOptions o;

@@ -12,7 +12,7 @@
 // `c -= a*b` and rely on the compiler contracting them to fused
 // multiply-adds to match the vectorized executor's explicit FMAs. Without
 // FMA the whole build has no contraction anywhere and the comparison
-// degrades to the same few-ulp bound the specialized executor is held to.
+// degrades to a few-ulp bound.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -36,12 +36,15 @@ struct VecCase {
   LayoutKind layout;
   Triangle triangle;
   Unroll unroll;
+  int nb = 0;  ///< tile size; 0 = min(8, n)
+  Looking looking = Looking::kTop;
 };
 
 void PrintTo(const VecCase& c, std::ostream* os) {
   *os << "n" << c.n << "_"
       << (c.layout == LayoutKind::kInterleaved ? "interleaved" : "chunked")
       << "_" << to_string(c.triangle) << "_" << to_string(c.unroll);
+  if (c.nb != 0) *os << "_nb" << c.nb << "_" << to_string(c.looking);
 }
 
 BatchLayout make_layout(const VecCase& c, std::int64_t batch) {
@@ -82,7 +85,8 @@ void run_ieee_case(const VecCase& c, SimdIsa isa, T tol) {
                         {SpdKind::kGramPlusDiagonal, 4321, 50.0});
 
   CpuFactorOptions opt;
-  opt.nb = std::min(8, c.n);
+  opt.nb = c.nb != 0 ? c.nb : std::min(8, c.n);
+  opt.looking = c.looking;
   opt.unroll = c.unroll;
   opt.math = MathMode::kIeee;
   opt.triangle = c.triangle;
@@ -147,6 +151,29 @@ std::vector<VecCase> vec_cases() {
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, VecExecTest, ::testing::ValuesIn(vec_cases()),
+                         ::testing::PrintToStringParamName());
+
+// The tile-program path over the variant grid: every tile size (including
+// the n % nb != 0 corners) and looking order, plus the upper triangle.
+std::vector<VecCase> variant_cases() {
+  std::vector<VecCase> cases;
+  for (const int n : {1, 2, 3, 4, 5, 7, 8, 11, 16, 17, 24, 31, 33, 48}) {
+    for (const int nb : {1, 2, 3, 5, 8}) {
+      if (nb > n) continue;
+      for (const auto looking :
+           {Looking::kRight, Looking::kLeft, Looking::kTop}) {
+        cases.push_back({n, LayoutKind::kInterleaved, Triangle::kLower,
+                         Unroll::kPartial, nb, looking});
+      }
+      cases.push_back({n, LayoutKind::kInterleaved, Triangle::kUpper,
+                       Unroll::kPartial, nb, Looking::kTop});
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(VariantGrid, VecExecTest,
+                         ::testing::ValuesIn(variant_cases()),
                          ::testing::PrintToStringParamName());
 
 // ----------------------------------------------------------- fast math ---

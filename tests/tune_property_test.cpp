@@ -277,9 +277,9 @@ TEST(TuneProperty, ExecOverrideReachesResolveCpuExec) {
   const SimdIsa tier = resolve_simd_isa(SimdIsa::kAuto);
   const CpuExec fallback = resolve_cpu_exec(48, SimdIsa::kAuto);
   const CpuExec neighbour = resolve_cpu_exec(32, SimdIsa::kAuto);
-  const CpuExec forced = fallback == CpuExec::kSpecialized
+  const CpuExec forced = fallback == CpuExec::kInterpreter
                              ? CpuExec::kVectorized
-                             : CpuExec::kSpecialized;
+                             : CpuExec::kInterpreter;
   auto table = std::make_shared<std::map<std::pair<int, SimdIsa>, CpuExec>>();
   (*table)[{48, tier}] = forced;
   set_cpu_exec_overrides(table);

@@ -4,46 +4,40 @@
 Usage: bench_gate.py RECORDED.json FRESH.json [--max-drop=0.15]
 
 Compares the fresh micro_cpu summary against the recorded one and fails
-(exit 1) when vec_gflops drops by more than --max-drop at any matrix size
-present in both files. Sizes only in one file are reported but never fail
-the gate (the sweep grid may grow). The comparison is only meaningful when
-both summaries measured the same layout; a mismatch fails loudly rather
-than gating apples against oranges.
+(exit 1) when a gated metric drops by more than --max-drop at any matrix
+size present in both files. Sizes only in one file are reported but never
+fail the gate (the sweep grid may grow). The comparison is only meaningful
+when both summaries measured the same layout; a mismatch fails loudly
+rather than gating apples against oranges.
 
-Summaries may additionally carry a reduced-precision storage lane
-(micro_cpu --prec=bf16|fp16): rows gain ``storage_prec`` and
-``<prec>_gflops`` fields. When the recorded baseline has such rows they are
-gated with the same threshold; a fresh summary missing them (recorded with
---prec=fp32, or with a different lane) is an environmental skip (exit 3),
-never a pass — the caller should re-record with the matching --prec.
-Legacy baselines without precision rows compare permissively so the first
-re-record upgrades them in place. The fp32 vec_gflops gate is unchanged
-either way.
+The gated lanes are the rows of LANES:
 
-Summaries may also carry a large-n tiled lane (``large_summary`` rows from
-fig_large_tiled, merged in by scripts/check.sh --bench): per-n
-``tiled_gflops`` of the task-parallel DAG path past the n = 64 ceiling.
-When the recorded baseline has the lane it is gated with the same
-threshold; a fresh summary without it is an environmental skip (exit 3) —
-the caller should re-record with fig_large_tiled included. Legacy
-baselines without the lane compare permissively.
+  * vec — vec_gflops of the fp32 executor (``summary`` rows), always gated.
+  * precision — ``<prec>_gflops`` of the reduced-precision storage lane
+    (micro_cpu --prec=bf16|fp16 rows carry ``storage_prec``).
+  * large-n tiled — ``tiled_gflops`` of the task-parallel DAG path past the
+    n = 64 ceiling (``large_summary`` rows from fig_large_tiled, merged in
+    by scripts/check.sh --bench).
+  * instant-tuning — ``probe_gflops``, the measured rate of the
+    configuration the model-guided probe selected (``instant_summary`` rows
+    from fig_instant_tune). Gating it pins the *selection quality* of the
+    calibrated model + stratified top-K planner (DESIGN §14): a model change
+    that starts picking bad configurations fails here even if every kernel
+    is as fast as ever.
 
-Summaries may also carry an instant-tuning lane (``instant_summary`` rows
-from fig_instant_tune, merged in by scripts/check.sh --bench): per-n
-``probe_gflops``, the measured rate of the configuration the model-guided
-probe selected. Gating it pins the *selection quality* of the calibrated
-model + stratified top-K planner (DESIGN §14) — a model change that starts
-picking bad configurations fails here even if every kernel is as fast as
-ever. Same threshold, same skip semantics: a baseline with the lane and a
-fresh summary without it is an environmental skip (exit 3); legacy
-baselines compare permissively.
+Every lane but vec is gated only when the recorded baseline carries it. A
+fresh summary without such a lane is an environmental skip (exit 3), never
+a pass — the caller should re-record with the lane's producer included.
+Legacy baselines without a lane compare permissively, so the first
+re-record upgrades them in place.
 
 Exit codes:
   0 — no regression past the threshold
-  1 — regression or layout mismatch (a real gate failure)
+  1 — regression or layout mismatch (a real gate failure); a failure in
+      any lane outranks every skip
   3 — environment mismatch: the recorded baseline was measured on a host
       with a different core count (``hardware_concurrency``) or SIMD tier
-      (``simd_isa``), or carries precision rows the fresh summary lacks.
+      (``simd_isa``), or carries a lane the fresh summary lacks.
       Absolute GF/s numbers from different hardware (or different storage
       lanes) are not comparable, so the gate declines to judge instead of
       reporting a false regression (or a false pass). The caller should
@@ -54,6 +48,7 @@ Exit codes:
 
 import json
 import sys
+from collections import namedtuple
 
 MAX_DROP = 0.15
 
@@ -64,6 +59,22 @@ EXIT_ENV_SKIP = 3
 
 # (json key, human name) pairs that pin a summary to its host environment.
 ENV_KEYS = (("hardware_concurrency", "core count"), ("simd_isa", "SIMD tier"))
+
+# One gated lane: its name, the summary key holding its per-n rows, the
+# metric gated (``{prec}`` is the storage lane the summaries carry),
+# whether it is gated even when the baseline lacks it, whether a failure
+# prints the per-stage breakdown, and how to re-record a missing lane.
+Lane = namedtuple("Lane", "name rows metric always stages advice")
+
+LANES = (
+    Lane("vec", "summary", "vec_gflops", True, True, None),
+    Lane("precision", "summary", "{prec}_gflops", False, False,
+         "with the matching --prec"),
+    Lane("large-n tiled", "large_summary", "tiled_gflops", False, True,
+         "with fig_large_tiled included"),
+    Lane("instant-tuning", "instant_summary", "probe_gflops", False, False,
+         "with fig_instant_tune included"),
+)
 
 
 def env_mismatch(recorded, fresh):
@@ -77,22 +88,6 @@ def env_mismatch(recorded, fresh):
     return None
 
 
-def rows_by_n(doc):
-    return {row["n"]: row for row in doc.get("summary", [])}
-
-
-def large_rows(doc):
-    """Rows of the large-n tiled lane (fig_large_tiled's per-n summary),
-    keyed by n — empty for summaries recorded before the lane existed."""
-    return {row["n"]: row for row in doc.get("large_summary", [])}
-
-
-def instant_rows(doc):
-    """Rows of the instant-tuning lane (fig_instant_tune's per-n summary),
-    keyed by n — empty for summaries recorded before the lane existed."""
-    return {row["n"]: row for row in doc.get("instant_summary", [])}
-
-
 def prec_lane(doc):
     """The reduced-precision storage lane a summary carries ("bf16" or
     "fp16"), or None when no row has one. A row belongs to a lane when it
@@ -102,6 +97,12 @@ def prec_lane(doc):
         if prec and prec != "fp32" and f"{prec}_gflops" in row:
             return prec
     return None
+
+
+def lane_rows(doc, lane, metric):
+    """The lane's rows keyed by n: rows under its key carrying its metric
+    (empty for summaries recorded before the lane existed)."""
+    return {row["n"]: row for row in doc.get(lane.rows, []) if metric in row}
 
 
 def stage_breakdown(old_row, new_row):
@@ -126,6 +127,47 @@ def stage_breakdown(old_row, new_row):
             ratio = ""
         lines.append(f"    stage {stage:>10}: {old_txt} -> {new_txt}{ratio}")
     return lines
+
+
+def gate_lane(lane, recorded, fresh, max_drop):
+    """Prints one lane's comparison. Returns (metric, failing sizes, skip
+    reason or None)."""
+    prec = prec_lane(recorded) or prec_lane(fresh)
+    metric = lane.metric.format(prec=prec)
+    old_rows = lane_rows(recorded, lane, metric)
+    new_rows = lane_rows(fresh, lane, metric)
+    failures = []
+    if not lane.always:
+        if not old_rows:
+            if new_rows:
+                print(f"bench gate: {lane.name} lane new in fresh summary "
+                      "(no baseline to gate against)")
+            return metric, failures, None
+        if not new_rows:
+            return metric, failures, (f"baseline carries {lane.name} rows "
+                                      "but the fresh summary has none")
+    label = metric.removesuffix("_gflops")
+    for n in sorted(old_rows):
+        if n not in new_rows:
+            print(f"bench gate: {label} n={n} missing from fresh summary "
+                  "(skipped)")
+            continue
+        old_gf = old_rows[n][metric]
+        new_gf = new_rows[n][metric]
+        if old_gf <= 0.0:
+            continue
+        ratio = new_gf / old_gf
+        failed = ratio < 1.0 - max_drop
+        print(f"bench gate: n={n:4d} {label} {old_gf:8.2f} -> {new_gf:8.2f} "
+              f"GF/s ({ratio:5.2f}x) {'FAIL' if failed else 'ok'}")
+        if failed:
+            failures.append(n)
+            if lane.stages:
+                for line in stage_breakdown(old_rows[n], new_rows[n]):
+                    print(line)
+    for n in sorted(set(new_rows) - set(old_rows)):
+        print(f"bench gate: {label} n={n} new in fresh summary")
+    return metric, failures, None
 
 
 def main(argv):
@@ -160,182 +202,21 @@ def main(argv):
         )
         return 1
 
-    old_rows = rows_by_n(recorded)
-    new_rows = rows_by_n(fresh)
-    failures = []
-    for n in sorted(old_rows):
-        if n not in new_rows:
-            print(f"bench gate: n={n} missing from fresh summary (skipped)")
-            continue
-        old_gf = old_rows[n].get("vec_gflops", 0.0)
-        new_gf = new_rows[n].get("vec_gflops", 0.0)
-        if old_gf <= 0.0:
-            continue
-        ratio = new_gf / old_gf
-        marker = "FAIL" if ratio < 1.0 - max_drop else "ok"
-        print(
-            f"bench gate: n={n:3d} vec {old_gf:8.2f} -> {new_gf:8.2f} GF/s "
-            f"({ratio:5.2f}x) {marker}"
-        )
-        if ratio < 1.0 - max_drop:
-            failures.append(n)
-            for line in stage_breakdown(old_rows[n], new_rows[n]):
-                print(line)
-    for n in sorted(set(new_rows) - set(old_rows)):
-        print(f"bench gate: n={n} new in fresh summary")
-
-    # Reduced-precision lane: gated only when the baseline recorded one.
-    prec_failures = []
-    prec_skip = None
-    old_prec = prec_lane(recorded)
-    new_prec = prec_lane(fresh)
-    if old_prec is None:
-        if new_prec is not None:
-            print(f"bench gate: {new_prec} precision lane new in fresh "
-                  "summary (no baseline to gate against)")
-    elif new_prec is None:
-        prec_skip = (f"baseline carries {old_prec} precision rows but the "
-                     "fresh summary has none")
-    elif new_prec != old_prec:
-        prec_skip = (f"precision lane mismatch (recorded {old_prec!r}, "
-                     f"fresh {new_prec!r})")
-    else:
-        key = f"{old_prec}_gflops"
-        for n in sorted(old_rows):
-            if n not in new_rows:
-                continue
-            old_gf = old_rows[n].get(key)
-            new_gf = new_rows[n].get(key)
-            if old_gf is None or old_gf <= 0.0:
-                continue
-            if new_gf is None or new_gf <= 0.0:
-                prec_skip = (f"n={n} {old_prec} row missing from fresh "
-                             "summary")
-                break
-            ratio = new_gf / old_gf
-            marker = "FAIL" if ratio < 1.0 - max_drop else "ok"
-            print(
-                f"bench gate: n={n:3d} {old_prec} {old_gf:8.2f} -> "
-                f"{new_gf:8.2f} GF/s ({ratio:5.2f}x) {marker}"
-            )
-            if ratio < 1.0 - max_drop:
-                prec_failures.append(n)
-
-    # Large-n tiled lane: gated only when the baseline recorded one.
-    tiled_failures = []
-    tiled_skip = None
-    old_large = large_rows(recorded)
-    new_large = large_rows(fresh)
-    if not old_large:
-        if new_large:
-            print("bench gate: large-n tiled lane new in fresh summary "
-                  "(no baseline to gate against)")
-    elif not new_large:
-        tiled_skip = ("baseline carries large-n tiled rows but the fresh "
-                      "summary has none")
-    else:
-        for n in sorted(old_large):
-            if n not in new_large:
-                print(f"bench gate: tiled n={n} missing from fresh summary "
-                      "(skipped)")
-                continue
-            old_gf = old_large[n].get("tiled_gflops", 0.0)
-            new_gf = new_large[n].get("tiled_gflops", 0.0)
-            if old_gf <= 0.0:
-                continue
-            ratio = new_gf / old_gf
-            marker = "FAIL" if ratio < 1.0 - max_drop else "ok"
-            print(
-                f"bench gate: n={n:4d} tiled {old_gf:8.2f} -> {new_gf:8.2f} "
-                f"GF/s ({ratio:5.2f}x) {marker}"
-            )
-            if ratio < 1.0 - max_drop:
-                tiled_failures.append(n)
-                for line in stage_breakdown(old_large[n], new_large[n]):
-                    print(line)
-        for n in sorted(set(new_large) - set(old_large)):
-            print(f"bench gate: tiled n={n} new in fresh summary")
-
-    # Instant-tuning lane: gated only when the baseline recorded one.
-    instant_failures = []
-    instant_skip = None
-    old_instant = instant_rows(recorded)
-    new_instant = instant_rows(fresh)
-    if not old_instant:
-        if new_instant:
-            print("bench gate: instant-tuning lane new in fresh summary "
-                  "(no baseline to gate against)")
-    elif not new_instant:
-        instant_skip = ("baseline carries instant-tuning rows but the "
-                        "fresh summary has none")
-    else:
-        for n in sorted(old_instant):
-            if n not in new_instant:
-                print(f"bench gate: instant n={n} missing from fresh "
-                      "summary (skipped)")
-                continue
-            old_gf = old_instant[n].get("probe_gflops", 0.0)
-            new_gf = new_instant[n].get("probe_gflops", 0.0)
-            if old_gf <= 0.0:
-                continue
-            ratio = new_gf / old_gf
-            marker = "FAIL" if ratio < 1.0 - max_drop else "ok"
-            print(
-                f"bench gate: n={n:3d} probe {old_gf:8.2f} -> {new_gf:8.2f} "
-                f"GF/s ({ratio:5.2f}x) {marker}"
-            )
-            if ratio < 1.0 - max_drop:
-                instant_failures.append(n)
-        for n in sorted(set(new_instant) - set(old_instant)):
-            print(f"bench gate: instant n={n} new in fresh summary")
-
-    if failures:
-        print(
-            f"bench gate: vec_gflops dropped more than {max_drop:.0%} at "
-            f"n in {failures}"
-        )
+    results = [(lane, *gate_lane(lane, recorded, fresh, max_drop))
+               for lane in LANES]
+    failed = [(metric, sizes) for _, metric, sizes, _ in results if sizes]
+    for metric, sizes in failed:
+        print(f"bench gate: {metric} dropped more than {max_drop:.0%} at "
+              f"n in {sizes}")
+    if failed:
         return 1
-    if tiled_failures:
-        print(
-            f"bench gate: tiled_gflops dropped more than {max_drop:.0%} at "
-            f"n in {tiled_failures}"
-        )
-        return 1
-    if prec_failures:
-        print(
-            f"bench gate: {old_prec}_gflops dropped more than "
-            f"{max_drop:.0%} at n in {prec_failures}"
-        )
-        return 1
-    if instant_failures:
-        print(
-            f"bench gate: probe_gflops dropped more than {max_drop:.0%} at "
-            f"n in {instant_failures}"
-        )
-        return 1
-    if prec_skip is not None:
-        print(f"bench gate: {prec_skip}")
-        print(
-            "bench gate: precision rows are not comparable; skipping the "
-            "precision lane — re-record BENCH_cpu.json with the matching "
-            "--prec"
-        )
-        return EXIT_ENV_SKIP
-    if tiled_skip is not None:
-        print(f"bench gate: {tiled_skip}")
-        print(
-            "bench gate: large-n rows are not comparable; skipping the "
-            "tiled lane — re-record BENCH_cpu.json with fig_large_tiled "
-            "included"
-        )
-        return EXIT_ENV_SKIP
-    if instant_skip is not None:
-        print(f"bench gate: {instant_skip}")
-        print(
-            "bench gate: instant-tuning rows are not comparable; skipping "
-            "the instant lane — re-record BENCH_cpu.json with "
-            "fig_instant_tune included"
-        )
+    skips = [(lane, reason) for lane, _, _, reason in results if reason]
+    for lane, reason in skips:
+        print(f"bench gate: {reason}")
+        print(f"bench gate: {lane.name} rows are not comparable; skipping "
+              f"the {lane.name} lane — re-record BENCH_cpu.json "
+              f"{lane.advice}")
+    if skips:
         return EXIT_ENV_SKIP
     print("bench gate: no regression past the threshold")
     return 0

@@ -17,12 +17,14 @@
 #
 # --tsan adds a ThreadSanitizer build and runs the concurrency-bearing
 # suites against it: the service layer (queue, deque, arena, BatchService),
-# the chunk pipeline, and the observability layer (whose counters,
-# histograms, and trace ring are recorded from worker threads). The suites
-# run with OMP_NUM_THREADS=1 because libgomp is not TSAN-instrumented —
-# TSAN cannot see its barriers and would report false races inside every
-# OpenMP team; the service's own pthread-based pool is exactly what this
-# mode is meant to prove out, and it is unaffected by the OpenMP clamp.
+# the chunk pipeline, recovery (whose passes reach the service pool through
+# the facade's tiled route past n = 64), and the observability layer
+# (whose counters, histograms, and trace ring are recorded from worker
+# threads). The suites run with OMP_NUM_THREADS=1 because libgomp is not
+# TSAN-instrumented — TSAN cannot see its barriers and would report false
+# races inside every OpenMP team; the service's own pthread-based pool is
+# exactly what this mode is meant to prove out, and it is unaffected by the
+# OpenMP clamp.
 #
 # --chaos runs the service overload/fault suite (deadlines, admission
 # shedding, scratch-exhaustion aborts, poison quarantine, the watchdog,
@@ -151,6 +153,20 @@ configure_sanitize_build() {
   cmake --build build-sanitize
 }
 
+configure_tsan_build() {
+  TSAN_FLAGS="-fsanitize=thread"
+  # -Wno-maybe-uninitialized: under sanitizer instrumentation GCC 12 flags
+  # the _mm512_undefined_* pattern inside its own avx512fintrin.h header;
+  # -Werror stays on for everything else.
+  cmake -B build-tsan -G Ninja \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DIBCHOL_WERROR=ON \
+    -DCMAKE_CXX_FLAGS="${TSAN_FLAGS} -Wno-maybe-uninitialized" \
+    -DCMAKE_EXE_LINKER_FLAGS="${TSAN_FLAGS}" \
+    ${CMAKE_ARGS[@]+"${CMAKE_ARGS[@]}"}
+  cmake --build build-tsan
+}
+
 if [[ "${SANITIZE}" == 1 ]]; then
   configure_sanitize_build
   ctest --test-dir build-sanitize --output-on-failure -j "$(nproc)"
@@ -167,29 +183,19 @@ if [[ "${SANITIZE}" == 1 ]]; then
 fi
 
 if [[ "${TSAN}" == 1 ]]; then
-  TSAN_FLAGS="-fsanitize=thread"
-  # -Wno-maybe-uninitialized: under sanitizer instrumentation GCC 12 flags
-  # the _mm512_undefined_* pattern inside its own avx512fintrin.h header;
-  # -Werror stays on for everything else.
-  cmake -B build-tsan -G Ninja \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DIBCHOL_WERROR=ON \
-    -DCMAKE_CXX_FLAGS="${TSAN_FLAGS} -Wno-maybe-uninitialized" \
-    -DCMAKE_EXE_LINKER_FLAGS="${TSAN_FLAGS}" \
-    ${CMAKE_ARGS[@]+"${CMAKE_ARGS[@]}"}
-  cmake --build build-tsan
+  configure_tsan_build
   # The concurrency-bearing suites: service layer (lock-free queue, deque,
   # arena, the BatchService end-to-end tests including the concurrent
-  # submission stress), chunk pipeline, observability. OMP_NUM_THREADS=1
-  # keeps uninstrumented libgomp out of the picture (see header comment);
-  # the service's own worker pool still runs fully multi-threaded. The
-  # ObsReplay suite is excluded: it pins an OpenMP team of 2 by design
-  # (replay determinism needs a fixed schedule), and TSAN cannot see
-  # libgomp's barriers.
+  # submission stress), chunk pipeline, recovery, observability.
+  # OMP_NUM_THREADS=1 keeps uninstrumented libgomp out of the picture (see
+  # header comment); the service's own worker pool still runs fully
+  # multi-threaded. The ObsReplay suite is excluded: it pins an OpenMP team
+  # of 2 by design (replay determinism needs a fixed schedule), and TSAN
+  # cannot see libgomp's barriers.
   OMP_NUM_THREADS=1 ctest --test-dir build-tsan --output-on-failure \
     -j "$(nproc)" \
-    -R 'MpmcQueue|WorkDeque|UnitTaskPacking|ScratchArena|BatchService|ServiceEntryPoint|ServiceDeadline|ServicePriority|ServiceAdmission|ServiceChaos|ServiceScreen|ServiceWatchdog|ServiceMixed|TiledService|TiledFacade|ChunkPipeline|Trace|Counters|HistogramTest|TuneCacheConcurrency'
-  echo "tsan check: service/pipeline/obs suites clean under ThreadSanitizer"
+    -R 'MpmcQueue|WorkDeque|UnitTaskPacking|ScratchArena|BatchService|ServiceEntryPoint|ServiceDeadline|ServicePriority|ServiceAdmission|ServiceChaos|ServiceScreen|ServiceWatchdog|ServiceMixed|TiledService|TiledFacade|Recover|ChunkPipeline|Trace|Counters|HistogramTest|TuneCacheConcurrency'
+  echo "tsan check: service/pipeline/recovery/obs suites clean under ThreadSanitizer"
 fi
 
 if [[ "${CHAOS}" == 1 ]]; then
@@ -198,17 +204,8 @@ if [[ "${CHAOS}" == 1 ]]; then
   # queue wrap-around, the service teardown races).
   CHAOS_SUITES='ServiceEntryPoint|ServiceDeadline|ServicePriority|ServiceAdmission|ServiceChaos|ServiceScreen|ServiceWatchdog|ServiceMixed|ScratchArena|MpmcQueue|BatchService'
   configure_sanitize_build
-  if [[ "${TSAN}" != 1 ]]; then
-    # Reuse the --tsan tree when that mode already built it.
-    TSAN_FLAGS="-fsanitize=thread"
-    cmake -B build-tsan -G Ninja \
-      -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DIBCHOL_WERROR=ON \
-      -DCMAKE_CXX_FLAGS="${TSAN_FLAGS} -Wno-maybe-uninitialized" \
-      -DCMAKE_EXE_LINKER_FLAGS="${TSAN_FLAGS}" \
-      ${CMAKE_ARGS[@]+"${CMAKE_ARGS[@]}"}
-    cmake --build build-tsan
-  fi
+  # Reuse the --tsan tree when that mode already built it.
+  [[ "${TSAN}" == 1 ]] || configure_tsan_build
   # Three fixed seeds, each a full pass: the seed pins the per-site chaos
   # decision sequences, so seed-by-seed runs are reproducible and a
   # failure log names the seed to rerun.

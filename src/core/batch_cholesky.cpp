@@ -1,7 +1,5 @@
 #include "core/batch_cholesky.hpp"
 
-#include <cstdlib>
-
 #include "core/tuned_overrides.hpp"
 #include "cpu/simd/vec_exec.hpp"
 #include "obs/counters.hpp"
@@ -9,23 +7,6 @@
 #include "util/timer.hpp"
 
 namespace ibchol {
-
-namespace {
-
-// Opt-in routing of the facade through the persistent service
-// (svc::BatchService::global()): set IBCHOL_SERVICE=1 in the environment.
-// Results are bit-identical to the synchronous path (units are
-// schedule-agnostic); what changes is the execution substrate — a
-// long-lived work-stealing pool instead of a per-call OpenMP team.
-bool use_service() {
-  static const bool enabled = [] {
-    const char* v = std::getenv("IBCHOL_SERVICE");
-    return v != nullptr && v[0] == '1' && v[1] == '\0';
-  }();
-  return enabled;
-}
-
-}  // namespace
 
 TuningParams recommended_params(int n) {
   // An installed instant-tuning table (src/tune/instant.hpp) wins over the
@@ -126,16 +107,17 @@ FactorResult BatchCholesky::factorize(std::span<T> data,
   // runs when an observer is actually installed.
   if (factor_observer_installed()) {
     Timer t;
-    const FactorResult r = factorize_dispatch<T>(data, info);
+    const FactorResult r = factorize_dispatch<T>(layout_, data, info);
     note_factor_seconds(layout_.n(), layout_.batch(), t.seconds());
     return r;
   }
-  return factorize_dispatch<T>(data, info);
+  return factorize_dispatch<T>(layout_, data, info);
 }
 
 template <typename T>
 FactorResult BatchCholesky::factorize_dispatch(
-    std::span<T> data, std::span<std::int32_t> info) const {
+    const BatchLayout& layout, std::span<T> data,
+    std::span<std::int32_t> info) const {
   if (use_tiled_) {
     IBCHOL_COUNT("tiled.routed", 1);
     svc::TiledOptions topts;
@@ -144,34 +126,36 @@ FactorResult BatchCholesky::factorize_dispatch(
     // cache-fit rule pick.
     topts.nb = params_.nb >= 16 ? params_.nb : 0;
     topts.lookahead = params_.lookahead;
-    return svc::BatchService::global().factor_tiled<T>(layout_, data, topts,
+    return svc::BatchService::global().factor_tiled<T>(layout, data, topts,
                                                        info);
   }
-  const CpuFactorOptions opts = to_cpu_options(params_, layout_.n(), triangle_);
-  if (use_service()) {
-    return svc::BatchService::global().factor<T>(
-        layout_, data, opts, info,
-        program_.has_value() ? &*program_ : nullptr);
-  }
+  const CpuFactorOptions opts = to_cpu_options(params_, layout.n(), triangle_);
+  // The program is built only for interleaved layouts, and a recovery
+  // retry sub-batch of an interleaved batch is interleaved too.
   if (program_.has_value()) {
-    return factor_batch_cpu_with_program<T>(layout_, data, *program_, opts,
+    return factor_batch_cpu_with_program<T>(layout, data, *program_, opts,
                                             info);
   }
-  return factor_batch_cpu<T>(layout_, data, opts, info);
+  return factor_batch_cpu<T>(layout, data, opts, info);
 }
 
 template <typename T>
 RecoveryReport BatchCholesky::factorize_recover(
     std::span<T> data, const RecoveryOptions& recovery,
     std::span<std::int32_t> info) const {
-  const CpuFactorOptions opts = to_cpu_options(params_, layout_.n(), triangle_);
-  if (use_service()) {
-    return svc::BatchService::global().recover<T>(
-        layout_, data, opts, recovery, info,
-        program_.has_value() ? &*program_ : nullptr);
-  }
-  return factor_batch_recover<T>(layout_, data, opts, recovery, info,
-                                 program_.has_value() ? &*program_ : nullptr);
+  // Every pass — the first over the whole batch and each shifted retry
+  // over its compact sub-batch — runs on factorize()'s route, the tiled
+  // DAG included.
+  const RecoverFactorFn<T> pass =
+      [](void* self, const BatchLayout& layout, std::span<T> d,
+         const CpuFactorOptions& /*options*/, const TileProgram* /*program*/,
+         std::span<std::int32_t> i) {
+        return static_cast<const BatchCholesky*>(self)->factorize_dispatch<T>(
+            layout, d, i);
+      };
+  return factor_batch_recover_via<T>(
+      pass, const_cast<BatchCholesky*>(this), layout_, data,
+      to_cpu_options(params_, layout_.n(), triangle_), recovery, info);
 }
 
 FactorResult BatchCholesky::factorize_mixed(std::span<std::uint16_t> data,
@@ -179,13 +163,6 @@ FactorResult BatchCholesky::factorize_mixed(std::span<std::uint16_t> data,
   IBCHOL_CHECK(params_.storage != StoragePrec::kFp32,
                "factorize_mixed needs TuningParams::storage = kBf16 or kFp16");
   const CpuFactorOptions opts = to_cpu_options(params_, layout_.n(), triangle_);
-  if (use_service()) {
-    svc::SubmitOptions sopts;
-    sopts.storage = params_.storage;
-    return svc::BatchService::global().factor_mixed(
-        layout_, data, opts, info,
-        program_.has_value() ? &*program_ : nullptr, sopts);
-  }
   if (program_.has_value()) {
     return factor_batch_cpu_mixed_with_program(layout_, data, params_.storage,
                                                *program_, opts, info);
@@ -200,11 +177,6 @@ RecoveryReport BatchCholesky::factorize_recover_mixed(
                "factorize_recover_mixed needs TuningParams::storage = kBf16 "
                "or kFp16");
   const CpuFactorOptions opts = to_cpu_options(params_, layout_.n(), triangle_);
-  if (use_service()) {
-    return svc::BatchService::global().recover_mixed(
-        layout_, data, params_.storage, opts, recovery, info,
-        program_.has_value() ? &*program_ : nullptr);
-  }
   return factor_batch_recover_mixed(layout_, data, params_.storage, opts,
                                     recovery, info,
                                     program_.has_value() ? &*program_ : nullptr);

@@ -61,7 +61,9 @@ class BatchCholesky {
   /// contents returned untouched) and non-SPD members are refactored in a
   /// compact sub-batch under escalating diagonal shifts until they succeed
   /// or `recovery.max_attempts` is exhausted; healthy matrices come out
-  /// bit-identical to factorize(). See src/cpu/recover.hpp.
+  /// bit-identical to factorize(). The first pass and every retry run on
+  /// factorize()'s own route (the tiled DAG when uses_tiled()), handed to
+  /// factor_batch_recover_via as its pass. See src/cpu/recover.hpp.
   template <typename T>
   RecoveryReport factorize_recover(std::span<T> data,
                                    const RecoveryOptions& recovery = {},
@@ -70,8 +72,6 @@ class BatchCholesky {
   /// factorize() for a reduced-precision batch: `data` holds the matrices
   /// as 16-bit words in params().storage format (which must be kBf16 or
   /// kFp16), arithmetic accumulates in fp32 (factor_batch_cpu_mixed).
-  /// Routed through the persistent service when IBCHOL_SERVICE=1, like
-  /// factorize().
   FactorResult factorize_mixed(std::span<std::uint16_t> data,
                                std::span<std::int32_t> info = {}) const;
 
@@ -122,10 +122,12 @@ class BatchCholesky {
   [[nodiscard]] bool uses_tiled() const { return use_tiled_; }
 
  private:
-  /// factorize() minus the observer timing wrapper: the tiled/service/
-  /// synchronous routing itself.
+  /// factorize() minus the observer timing wrapper: the tiled or
+  /// synchronous route chosen at construction, run over `layout` —
+  /// layout() for factorize(), or a recovery retry's compact sub-batch.
   template <typename T>
-  FactorResult factorize_dispatch(std::span<T> data,
+  FactorResult factorize_dispatch(const BatchLayout& layout,
+                                  std::span<T> data,
                                   std::span<std::int32_t> info) const;
 
   BatchLayout layout_;

@@ -26,10 +26,17 @@ const T* lane_base(const T* data, const BatchLayout& layout,
 
 // --- lane-block kernels (interleaved layouts) ---------------------------
 
+// Which substitutions a triangular solve runs on each right-hand side:
+// forward L y = b, backward Lᵀ x = y, or both in turn (POTRS).
+struct Sweeps {
+  bool forward;
+  bool backward;
+};
+
 template <typename T, typename Math>
 void trsm_lane_block(int n, int nrhs, const T* __restrict__ l,
                      std::int64_t rstride, std::int64_t cstride,
-                     T* __restrict__ x, std::int64_t xs, bool trans) {
+                     T* __restrict__ x, std::int64_t xs, Sweeps sweeps) {
   // With transposed strides (upper factor) lelem(i, j) reads U(j, i),
   // which is exactly the L(i, j) the substitution below needs.
   auto lelem = [&](int i, int j) {
@@ -39,7 +46,7 @@ void trsm_lane_block(int n, int nrhs, const T* __restrict__ l,
     return x + (static_cast<std::int64_t>(j) * n + i) * xs;
   };
   for (int col = 0; col < nrhs; ++col) {
-    if (!trans) {
+    if (sweeps.forward) {
       // Forward: L y = b.
       for (int i = 0; i < n; ++i) {
         T* __restrict__ xi = xelem(i, col);
@@ -57,7 +64,8 @@ void trsm_lane_block(int n, int nrhs, const T* __restrict__ l,
           xi[lane] = Math::div(xi[lane], lii[lane]);
         }
       }
-    } else {
+    }
+    if (sweeps.backward) {
       // Backward: L^T y = b.
       for (int i = n - 1; i >= 0; --i) {
         T* __restrict__ xi = xelem(i, col);
@@ -123,7 +131,7 @@ void gemm_lane_block(int m, int n, int k, T* __restrict__ c, std::int64_t cs,
 // --- canonical per-matrix fallbacks -------------------------------------
 
 template <typename T>
-void trsm_canonical(int n, int nrhs, const T* l, T* x, bool trans,
+void trsm_canonical(int n, int nrhs, const T* l, T* x, Sweeps sweeps,
                     Triangle triangle) {
   // Column-by-column substitution, one RHS at a time. The upper factor is
   // accessed through the transposed index map: L(i,j) := U(j,i).
@@ -132,13 +140,14 @@ void trsm_canonical(int n, int nrhs, const T* l, T* x, bool trans,
   auto lelem = [&](int i, int j) { return l[i * rs + j * cs]; };
   for (int col = 0; col < nrhs; ++col) {
     T* xc = x + static_cast<std::ptrdiff_t>(col) * n;
-    if (!trans) {
+    if (sweeps.forward) {
       for (int i = 0; i < n; ++i) {
         T acc = xc[i];
         for (int j = 0; j < i; ++j) acc -= lelem(i, j) * xc[j];
         xc[i] = acc / lelem(i, i);
       }
-    } else {
+    }
+    if (sweeps.backward) {
       for (int i = n - 1; i >= 0; --i) {
         T acc = xc[i];
         for (int j = i + 1; j < n; ++j) acc -= lelem(j, i) * xc[j];
@@ -148,13 +157,15 @@ void trsm_canonical(int n, int nrhs, const T* l, T* x, bool trans,
   }
 }
 
-}  // namespace
-
+// The one triangular-solve driver behind batch_trsm_left_lower and
+// batch_potrs: a single parallel pass in which every lane block (or
+// canonical matrix) runs all of its requested sweeps, so a POTRS reads
+// each factor once while it is still in cache.
 template <typename T>
-void batch_trsm_left_lower(const BatchLayout& mlayout, std::span<const T> mats,
-                           const BatchRectLayout& rlayout, std::span<T> rhs,
-                           bool trans, MathMode math, int num_threads,
-                           Triangle triangle) {
+void batch_trsm(const BatchLayout& mlayout, std::span<const T> mats,
+                const BatchRectLayout& rlayout, std::span<T> rhs,
+                Sweeps sweeps, MathMode math, int num_threads,
+                Triangle triangle) {
   IBCHOL_CHECK(rlayout.compatible(mlayout),
                "rhs layout incompatible with the matrix layout");
   IBCHOL_CHECK(rlayout.rows() == mlayout.n(), "rhs row count must equal n");
@@ -168,41 +179,52 @@ void batch_trsm_left_lower(const BatchLayout& mlayout, std::span<const T> mats,
 #pragma omp parallel for schedule(static) num_threads(nt)
     for (std::int64_t b = 0; b < mlayout.batch(); ++b) {
       trsm_canonical(n, nrhs, mats.data() + mlayout.index(b, 0, 0),
-                     rhs.data() + rlayout.index(b, 0, 0), trans, triangle);
+                     rhs.data() + rlayout.index(b, 0, 0), sweeps, triangle);
     }
     return;
   }
 
   const std::int64_t blocks = mlayout.padded_batch() / kLaneBlock;
+  const std::int64_t rstride = triangle == Triangle::kUpper
+                                   ? mlayout.chunk() * n
+                                   : mlayout.chunk();
+  const std::int64_t cstride = triangle == Triangle::kUpper
+                                   ? mlayout.chunk()
+                                   : mlayout.chunk() * n;
 #pragma omp parallel for schedule(static) num_threads(nt)
   for (std::int64_t blk = 0; blk < blocks; ++blk) {
     const std::int64_t start = blk * kLaneBlock;
     const T* l = lane_base(mats.data(), mlayout, start);
     T* x = lane_base(rhs.data(), rlayout, start);
-    const std::int64_t rstride = triangle == Triangle::kUpper
-                                     ? mlayout.chunk() * n
-                                     : mlayout.chunk();
-    const std::int64_t cstride = triangle == Triangle::kUpper
-                                     ? mlayout.chunk()
-                                     : mlayout.chunk() * n;
     if (math == MathMode::kFastMath) {
       trsm_lane_block<T, FastMath>(n, nrhs, l, rstride, cstride, x,
-                                   rlayout.chunk(), trans);
+                                   rlayout.chunk(), sweeps);
     } else {
       trsm_lane_block<T, IeeeMath>(n, nrhs, l, rstride, cstride, x,
-                                   rlayout.chunk(), trans);
+                                   rlayout.chunk(), sweeps);
     }
   }
+}
+
+}  // namespace
+
+template <typename T>
+void batch_trsm_left_lower(const BatchLayout& mlayout, std::span<const T> mats,
+                           const BatchRectLayout& rlayout, std::span<T> rhs,
+                           bool trans, MathMode math, int num_threads,
+                           Triangle triangle) {
+  batch_trsm(mlayout, mats, rlayout, rhs,
+             Sweeps{.forward = !trans, .backward = trans}, math, num_threads,
+             triangle);
 }
 
 template <typename T>
 void batch_potrs(const BatchLayout& mlayout, std::span<const T> mats,
                  const BatchRectLayout& rlayout, std::span<T> rhs,
                  MathMode math, int num_threads, Triangle triangle) {
-  batch_trsm_left_lower(mlayout, mats, rlayout, rhs, /*trans=*/false, math,
-                        num_threads, triangle);
-  batch_trsm_left_lower(mlayout, mats, rlayout, rhs, /*trans=*/true, math,
-                        num_threads, triangle);
+  batch_trsm(mlayout, mats, rlayout, rhs,
+             Sweeps{.forward = true, .backward = true}, math, num_threads,
+             triangle);
 }
 
 template <typename T>

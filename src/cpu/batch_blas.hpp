@@ -32,8 +32,9 @@ void batch_trsm_left_lower(const BatchLayout& mlayout, std::span<const T> mats,
                            int num_threads = 0,
                            Triangle triangle = Triangle::kLower);
 
-/// Solves L·Lᵀ X = B for every matrix (multi-RHS POTRS): forward then
-/// backward batched triangular solve.
+/// Solves L·Lᵀ X = B for every matrix (multi-RHS POTRS): one parallel
+/// pass in which each lane block (or canonical matrix) runs forward then
+/// backward substitution. solve_batch_cpu is this with nrhs = 1.
 template <typename T>
 void batch_potrs(const BatchLayout& mlayout, std::span<const T> mats,
                  const BatchRectLayout& rlayout, std::span<T> rhs,

@@ -1,60 +1,13 @@
 #include "cpu/batch_solve.hpp"
 
-#include <omp.h>
-
 #include <cmath>
 #include <limits>
 
-#include <vector>
-
-#include "cpu/math_policy.hpp"
-#include "cpu/reference.hpp"
-#include "cpu/tile_exec.hpp"
+#include "cpu/batch_blas.hpp"
+#include "cpu/thread_util.hpp"
+#include "layout/rect_layout.hpp"
 
 namespace ibchol {
-
-namespace {
-
-template <typename T, typename Math>
-void solve_lane_block(int n, const T* __restrict__ lbase,
-                      std::int64_t rstride, std::int64_t cstride,
-                      T* __restrict__ xbase, std::int64_t xstride) {
-  // lelem(i, j) reads L(i, j); with transposed strides (upper factor) it
-  // reads U(j, i) = L(i, j), so the substitution code is triangle-agnostic.
-  auto lelem = [&](int i, int j) {
-    return lbase + i * rstride + j * cstride;
-  };
-  auto xelem = [&](int i) { return xbase + i * xstride; };
-
-  // Forward substitution L y = b.
-  for (int i = 0; i < n; ++i) {
-    T* __restrict__ xi = xelem(i);
-    for (int j = 0; j < i; ++j) {
-      const T* __restrict__ lij = lelem(i, j);
-      const T* __restrict__ xj = xelem(j);
-#pragma omp simd
-      for (int l = 0; l < kLaneBlock; ++l) xi[l] -= lij[l] * xj[l];
-    }
-    const T* __restrict__ lii = lelem(i, i);
-#pragma omp simd
-    for (int l = 0; l < kLaneBlock; ++l) xi[l] = Math::div(xi[l], lii[l]);
-  }
-  // Backward substitution Lᵀ x = y.
-  for (int i = n - 1; i >= 0; --i) {
-    T* __restrict__ xi = xelem(i);
-    for (int j = i + 1; j < n; ++j) {
-      const T* __restrict__ lji = lelem(j, i);
-      const T* __restrict__ xj = xelem(j);
-#pragma omp simd
-      for (int l = 0; l < kLaneBlock; ++l) xi[l] -= lji[l] * xj[l];
-    }
-    const T* __restrict__ lii = lelem(i, i);
-#pragma omp simd
-    for (int l = 0; l < kLaneBlock; ++l) xi[l] = Math::div(xi[l], lii[l]);
-  }
-}
-
-}  // namespace
 
 template <typename T>
 void solve_batch_cpu(const BatchLayout& mlayout, std::span<const T> mats,
@@ -62,46 +15,12 @@ void solve_batch_cpu(const BatchLayout& mlayout, std::span<const T> mats,
                      MathMode math, int num_threads, Triangle triangle) {
   IBCHOL_CHECK(vlayout == BatchVectorLayout::matching(mlayout),
                "vector layout does not match the matrix layout");
-  IBCHOL_CHECK(mats.size() >= mlayout.size_elems(), "matrix span too small");
-  IBCHOL_CHECK(rhs.size() >= vlayout.size_elems(), "rhs span too small");
-  const int n = mlayout.n();
-  const int nt = num_threads > 0 ? num_threads : omp_get_max_threads();
-
-  if (mlayout.kind() == LayoutKind::kCanonical) {
-#pragma omp parallel for schedule(static) num_threads(nt)
-    for (std::int64_t b = 0; b < mlayout.batch(); ++b) {
-      if (triangle == Triangle::kUpper) {
-        potrs_vector_upper(n, mats.data() + mlayout.index(b, 0, 0), n,
-                           rhs.data() + vlayout.index(b, 0));
-      } else {
-        potrs_vector(n, mats.data() + mlayout.index(b, 0, 0), n,
-                     rhs.data() + vlayout.index(b, 0));
-      }
-    }
-    return;
-  }
-
-  const std::int64_t blocks = mlayout.padded_batch() / kLaneBlock;
-#pragma omp parallel for schedule(static) num_threads(nt)
-  for (std::int64_t blk = 0; blk < blocks; ++blk) {
-    const std::int64_t start = blk * kLaneBlock;
-    const T* lbase = mats.data() + mlayout.chunk_base(start) +
-                     (start % mlayout.chunk());
-    T* xbase = rhs.data() + vlayout.index(start, 0);
-    const std::int64_t rstride = triangle == Triangle::kUpper
-                                     ? mlayout.chunk() * n
-                                     : mlayout.chunk();
-    const std::int64_t cstride = triangle == Triangle::kUpper
-                                     ? mlayout.chunk()
-                                     : mlayout.chunk() * n;
-    if (math == MathMode::kFastMath) {
-      solve_lane_block<T, FastMath>(n, lbase, rstride, cstride, xbase,
-                                    vlayout.chunk());
-    } else {
-      solve_lane_block<T, IeeeMath>(n, lbase, rstride, cstride, xbase,
-                                    vlayout.chunk());
-    }
-  }
+  // One right-hand side per matrix is an n×1 block: the matching rect
+  // layout has the vector layout's index map, so the multi-RHS solve
+  // addresses the same elements.
+  const BatchRectLayout rlayout =
+      BatchRectLayout::matching(mlayout, mlayout.n(), 1);
+  batch_potrs<T>(mlayout, mats, rlayout, rhs, math, num_threads, triangle);
 }
 
 template <typename T>
@@ -112,7 +31,7 @@ void batch_logdet(const BatchLayout& mlayout, std::span<const T> factors,
   IBCHOL_CHECK(out.size() >= static_cast<std::size_t>(mlayout.batch()),
                "output span too small");
   const int n = mlayout.n();
-  const int nt = num_threads > 0 ? num_threads : omp_get_max_threads();
+  const int nt = resolve_threads(num_threads);
 #pragma omp parallel for schedule(static) num_threads(nt)
   for (std::int64_t b = 0; b < mlayout.batch(); ++b) {
     double acc = 0.0;

@@ -2,9 +2,10 @@
 //
 // After factor_batch_cpu has overwritten each matrix's lower triangle with
 // its Cholesky factor L, these routines solve L·Lᵀ x = b for one right-hand
-// side per matrix, in the layout-matched vector batch. Interleaved layouts
-// are processed one SIMD lane block at a time, exactly like the
-// factorization.
+// side per matrix, in the layout-matched vector batch. The solve is
+// batch_potrs (cpu/batch_blas.hpp) with one right-hand-side column:
+// interleaved layouts are processed one SIMD lane block at a time, exactly
+// like the factorization.
 #pragma once
 
 #include <span>

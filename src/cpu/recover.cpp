@@ -1,12 +1,11 @@
 #include "cpu/recover.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 
 #include "cpu/simd/convert.hpp"
+#include "cpu/thread_util.hpp"
 #include "layout/convert.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
@@ -33,7 +32,8 @@ void for_each_triangle(int n, Triangle triangle, Fn&& fn) {
 // different cache line per element and costs more than the factorization.
 template <typename T>
 std::vector<std::uint8_t> screen_triangle(const BatchLayout& layout,
-                                          const T* data, Triangle triangle) {
+                                          const T* data, Triangle triangle,
+                                          int num_threads) {
   const int n = layout.n();
   const std::int64_t batch = layout.batch();
   const auto nn = static_cast<std::size_t>(n);
@@ -43,7 +43,8 @@ std::vector<std::uint8_t> screen_triangle(const BatchLayout& layout,
                     [&](int i, int j) { elems.push_back(j * n + i); });
 
   if (layout.kind() == LayoutKind::kCanonical) {
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) \
+    num_threads(resolve_threads(num_threads, batch))
     for (std::int64_t b = 0; b < batch; ++b) {
       const T* m = data + static_cast<std::size_t>(b) * nn * nn;
       for (const std::int32_t e : elems) {
@@ -63,7 +64,8 @@ std::vector<std::uint8_t> screen_triangle(const BatchLayout& layout,
                                  ? layout.padded_batch()
                                  : layout.chunk();
   const std::int64_t nchunks = (batch + chunk - 1) / chunk;
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) \
+    num_threads(resolve_threads(num_threads, nchunks))
   for (std::int64_t c = 0; c < nchunks; ++c) {
     const T* base = data + static_cast<std::size_t>(c) * nn * nn *
                                static_cast<std::size_t>(chunk);
@@ -80,9 +82,10 @@ std::vector<std::uint8_t> screen_triangle(const BatchLayout& layout,
   return bad;
 }
 
-// The default factorization backend (RecoverFactorFn signature):
-// dispatches exactly like BatchCholesky::factorize — the caller's prebuilt
-// tile program when one applies, the plain driver otherwise.
+// The default pass of factor_batch_recover (RecoverFactorFn signature):
+// the caller's prebuilt tile program when one applies, the plain driver
+// otherwise. It has no tiled branch; BatchCholesky::factorize_recover
+// supplies its own route as the pass instead.
 template <typename T>
 FactorResult run_factor(void* /*ctx*/, const BatchLayout& layout,
                         std::span<T> data, const CpuFactorOptions& options,
@@ -131,7 +134,7 @@ std::int64_t screen_nonfinite(const BatchLayout& layout,
   IBCHOL_CHECK(info.size() >= static_cast<std::size_t>(layout.batch()),
                "info span too small for batch");
   const std::vector<std::uint8_t> bad =
-      screen_triangle(layout, data.data(), triangle);
+      screen_triangle(layout, data.data(), triangle, /*num_threads=*/0);
   std::int64_t count = 0;
   for (std::int64_t b = 0; b < layout.batch(); ++b) {
     if (bad[static_cast<std::size_t>(b)]) {
@@ -189,7 +192,8 @@ RecoveryReport factor_batch_recover_via(RecoverFactorFn<T> factor_fn,
   {
     IBCHOL_TRACE_SPAN("screen", "recover", batch);
     const std::vector<std::uint8_t> bad =
-        screen_triangle(layout, data.data(), options.triangle);
+        screen_triangle(layout, data.data(), options.triangle,
+                        options.num_threads);
     for (std::int64_t b = 0; b < batch; ++b) {
       if (bad[static_cast<std::size_t>(b)]) nonfinite.push_back(b);
     }
@@ -208,7 +212,8 @@ RecoveryReport factor_batch_recover_via(RecoverFactorFn<T> factor_fn,
   // the interleaved layouts, like the screen above.
   std::vector<T> diag(static_cast<std::size_t>(batch) * n);
   if (layout.kind() == LayoutKind::kCanonical) {
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) \
+    num_threads(resolve_threads(options.num_threads, batch))
     for (std::int64_t b = 0; b < batch; ++b) {
       for (int i = 0; i < n; ++i) {
         diag[static_cast<std::size_t>(b) * n + i] =
@@ -221,7 +226,8 @@ RecoveryReport factor_batch_recover_via(RecoverFactorFn<T> factor_fn,
                                    : layout.chunk();
     const std::int64_t nchunks = (batch + chunk - 1) / chunk;
     const auto nn = static_cast<std::size_t>(n);
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) \
+    num_threads(resolve_threads(options.num_threads, nchunks))
     for (std::int64_t c = 0; c < nchunks; ++c) {
       const T* base = data.data() + static_cast<std::size_t>(c) * nn * nn *
                                         static_cast<std::size_t>(chunk);
@@ -370,7 +376,8 @@ std::int64_t screen_nonfinite_mixed(const BatchLayout& layout,
                                  : layout.chunk();
   const std::int64_t nchunks = (batch + chunk - 1) / chunk;
   std::vector<std::uint8_t> bad(static_cast<std::size_t>(batch), 0);
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) \
+    num_threads(resolve_threads(0, nchunks))
   for (std::int64_t c = 0; c < nchunks; ++c) {
     const std::uint16_t* base =
         data.data() + static_cast<std::size_t>(c) *
@@ -397,11 +404,13 @@ std::int64_t screen_nonfinite_mixed(const BatchLayout& layout,
   return count;
 }
 
-RecoveryReport factor_batch_recover_mixed_via(
-    RecoverFactorFn<float> factor_fn, void* ctx, const BatchLayout& layout,
-    std::span<std::uint16_t> data, StoragePrec storage,
-    const CpuFactorOptions& options, const RecoveryOptions& recovery,
-    std::span<std::int32_t> info, const TileProgram* program) {
+RecoveryReport factor_batch_recover_mixed(const BatchLayout& layout,
+                                          std::span<std::uint16_t> data,
+                                          StoragePrec storage,
+                                          const CpuFactorOptions& options,
+                                          const RecoveryOptions& recovery,
+                                          std::span<std::int32_t> info,
+                                          const TileProgram* program) {
   IBCHOL_CHECK(layout.kind() != LayoutKind::kCanonical,
                "reduced-precision storage runs interleaved layouts");
   IBCHOL_CHECK(storage != StoragePrec::kFp32,
@@ -414,23 +423,11 @@ RecoveryReport factor_batch_recover_mixed_via(
   // Widening preserves NaN/Inf exactly, so the fp32 screen sees the same
   // non-finite set a bit-level u16 screen would.
   widen_row(cisa, storage, data.data(), wide.data(), count);
-  RecoveryReport report = factor_batch_recover_via<float>(
-      factor_fn, ctx, layout, wide.span(), options, recovery, info, program);
+  RecoveryReport report = factor_batch_recover<float>(
+      layout, wide.span(), options, recovery, info, program);
   narrow_row(cisa, storage, wide.data(), data.data(), count,
              /*nt_stores=*/false);
   return report;
-}
-
-RecoveryReport factor_batch_recover_mixed(const BatchLayout& layout,
-                                          std::span<std::uint16_t> data,
-                                          StoragePrec storage,
-                                          const CpuFactorOptions& options,
-                                          const RecoveryOptions& recovery,
-                                          std::span<std::int32_t> info,
-                                          const TileProgram* program) {
-  return factor_batch_recover_mixed_via(&run_factor<float>, nullptr, layout,
-                                        data, storage, options, recovery,
-                                        info, program);
 }
 
 template std::int64_t screen_nonfinite<float>(const BatchLayout&,

@@ -103,13 +103,15 @@ RecoveryReport factor_batch_recover(const BatchLayout& layout,
                                     std::span<std::int32_t> info = {},
                                     const TileProgram* program = nullptr);
 
-/// Pluggable factorization backend for the recovery driver: invoked for
-/// the first whole-batch pass and for every shifted-retry sub-batch, with
-/// the same contract as factor_batch_cpu(_with_program). `ctx` is the
-/// caller's closure state (a function pointer + void* rather than
-/// std::function keeps the recovery path allocation-free and lets higher
-/// layers — the service in src/svc/ — plug in without this layer
-/// depending on them).
+/// Pluggable factorization pass for the recovery driver: invoked for the
+/// first whole-batch pass and for every shifted-retry sub-batch, with the
+/// same contract as factor_batch_cpu(_with_program). It has two users:
+/// factor_batch_recover's default pass (the plain driver) and
+/// BatchCholesky::factorize_recover, which supplies its own route so
+/// recovery factors wherever factorize() does. `ctx` is the caller's
+/// closure state (a function pointer + void* rather than std::function
+/// keeps the recovery path allocation-free and lets higher layers plug in
+/// without this layer depending on them).
 template <typename T>
 using RecoverFactorFn = FactorResult (*)(void* ctx, const BatchLayout& layout,
                                          std::span<T> data,
@@ -119,7 +121,9 @@ using RecoverFactorFn = FactorResult (*)(void* ctx, const BatchLayout& layout,
 
 /// factor_batch_recover with every factorization pass routed through
 /// `factor_fn` instead of the built-in OpenMP driver. factor_batch_recover
-/// is this with the plain driver plugged in.
+/// is this with the plain driver plugged in. The screen and diagonal save
+/// run on an OpenMP team of options.num_threads (0 = the default), capped
+/// at the number of chunks (or canonical matrices) they split.
 template <typename T>
 RecoveryReport factor_batch_recover_via(RecoverFactorFn<T> factor_fn,
                                         void* ctx, const BatchLayout& layout,
@@ -143,15 +147,5 @@ RecoveryReport factor_batch_recover_mixed(const BatchLayout& layout,
                                           const RecoveryOptions& recovery,
                                           std::span<std::int32_t> info = {},
                                           const TileProgram* program = nullptr);
-
-/// factor_batch_recover_mixed with the fp32 passes routed through
-/// `factor_fn` (the service plugs its pool in here, exactly as it does for
-/// factor_batch_recover_via). factor_batch_recover_mixed is this with the
-/// plain OpenMP driver plugged in.
-RecoveryReport factor_batch_recover_mixed_via(
-    RecoverFactorFn<float> factor_fn, void* ctx, const BatchLayout& layout,
-    std::span<std::uint16_t> data, StoragePrec storage,
-    const CpuFactorOptions& options, const RecoveryOptions& recovery,
-    std::span<std::int32_t> info = {}, const TileProgram* program = nullptr);
 
 }  // namespace ibchol

@@ -1,7 +1,5 @@
 #include "cpu/refine.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <cmath>
 #include <limits>
@@ -9,6 +7,7 @@
 
 #include "cpu/batch_solve.hpp"
 #include "cpu/simd/convert.hpp"
+#include "cpu/thread_util.hpp"
 #include "layout/convert.hpp"
 #include "util/aligned_buffer.hpp"
 #include "util/error.hpp"
@@ -52,8 +51,7 @@ MixedRefineResult refine_per_matrix(const BatchLayout& mlayout,
                                     std::span<float> x,
                                     std::span<std::int32_t> info,
                                     const RefineOptions& options) {
-  const int nt =
-      options.num_threads > 0 ? options.num_threads : omp_get_max_threads();
+  const int nt = resolve_threads(options.num_threads);
   const int n = mlayout.n();
   const std::int64_t batch = mlayout.batch();
 
@@ -126,8 +124,7 @@ RefineResult refine_batch_solve(const BatchLayout& mlayout,
                "vector spans too small");
   IBCHOL_CHECK(vlayout == BatchVectorLayout::matching(mlayout),
                "vector layout does not match the matrix layout");
-  const int nt =
-      options.num_threads > 0 ? options.num_threads : omp_get_max_threads();
+  const int nt = resolve_threads(options.num_threads);
   const int n = mlayout.n();
 
   // Initial solve: x = (L·Lᵀ)^{-1} b.

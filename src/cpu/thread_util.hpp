@@ -7,6 +7,8 @@
 
 #include <omp.h>
 
+#include <cstdint>
+
 namespace ibchol {
 
 /// The process's default worker count, resolved from the OpenMP runtime
@@ -24,6 +26,16 @@ inline int cached_default_threads() {
 /// zero (and negatives) fall back to the cached OpenMP default.
 inline int resolve_threads(int requested) {
   return requested > 0 ? requested : cached_default_threads();
+}
+
+/// resolve_threads capped at a loop's iteration count. A team larger than
+/// the work it splits only wakes threads that find nothing to do; those
+/// then spin-wait for the next parallel region, taking cores from the
+/// service pool (where the facade's tiled route runs) meanwhile.
+inline int resolve_threads(int requested, std::int64_t iterations) {
+  const int nt = resolve_threads(requested);
+  return iterations < nt ? static_cast<int>(iterations > 1 ? iterations : 1)
+                         : nt;
 }
 
 }  // namespace ibchol

@@ -1435,36 +1435,6 @@ FactorResult BatchService::factor(const BatchLayout& layout,
   return submit<T>(layout, data, options, info, program).wait();
 }
 
-namespace {
-
-template <typename T>
-FactorResult service_factor_thunk(void* ctx, const BatchLayout& layout,
-                                  std::span<T> data,
-                                  const CpuFactorOptions& options,
-                                  const TileProgram* program,
-                                  std::span<std::int32_t> info) {
-  auto* service = static_cast<BatchService*>(ctx);
-  const TileProgram* prog =
-      (program != nullptr && layout.kind() != LayoutKind::kCanonical &&
-       options.unroll == Unroll::kPartial)
-          ? program
-          : nullptr;
-  return service->factor<T>(layout, data, options, info, prog);
-}
-
-}  // namespace
-
-template <typename T>
-RecoveryReport BatchService::recover(const BatchLayout& layout,
-                                     std::span<T> data,
-                                     const CpuFactorOptions& options,
-                                     const RecoveryOptions& recovery,
-                                     std::span<std::int32_t> info,
-                                     const TileProgram* program) {
-  return factor_batch_recover_via<T>(&service_factor_thunk<T>, this, layout,
-                                     data, options, recovery, info, program);
-}
-
 template <typename T>
 FactorFuture BatchService::submit_tiled(const BatchLayout& layout,
                                         std::span<T> data,
@@ -1538,18 +1508,6 @@ FactorResult BatchService::factor_mixed(const BatchLayout& layout,
   return submit_mixed(layout, data, options, info, program, sopts).wait();
 }
 
-RecoveryReport BatchService::recover_mixed(const BatchLayout& layout,
-                                           std::span<std::uint16_t> data,
-                                           StoragePrec storage,
-                                           const CpuFactorOptions& options,
-                                           const RecoveryOptions& recovery,
-                                           std::span<std::int32_t> info,
-                                           const TileProgram* program) {
-  return factor_batch_recover_mixed_via(&service_factor_thunk<float>, this,
-                                        layout, data, storage, options,
-                                        recovery, info, program);
-}
-
 template FactorFuture BatchService::submit<float>(const BatchLayout&,
                                                   std::span<float>,
                                                   const CpuFactorOptions&,
@@ -1572,12 +1530,6 @@ template FactorResult BatchService::factor<double>(const BatchLayout&,
                                                    const CpuFactorOptions&,
                                                    std::span<std::int32_t>,
                                                    const TileProgram*);
-template RecoveryReport BatchService::recover<float>(
-    const BatchLayout&, std::span<float>, const CpuFactorOptions&,
-    const RecoveryOptions&, std::span<std::int32_t>, const TileProgram*);
-template RecoveryReport BatchService::recover<double>(
-    const BatchLayout&, std::span<double>, const CpuFactorOptions&,
-    const RecoveryOptions&, std::span<std::int32_t>, const TileProgram*);
 template FactorFuture BatchService::submit_tiled<float>(
     const BatchLayout&, std::span<float>, const TiledOptions&,
     std::span<std::int32_t>, const SubmitOptions&);

@@ -317,16 +317,6 @@ class BatchService {
                       std::span<std::int32_t> info = {},
                       const TileProgram* program = nullptr);
 
-  /// Recovery-retry factorization whose factorization passes (first pass
-  /// and every shifted retry sub-batch) run on the service instead of
-  /// spawning OpenMP teams; semantics of factor_batch_recover.
-  template <typename T>
-  RecoveryReport recover(const BatchLayout& layout, std::span<T> data,
-                         const CpuFactorOptions& options,
-                         const RecoveryOptions& recovery,
-                         std::span<std::int32_t> info = {},
-                         const TileProgram* program = nullptr);
-
   /// submit for a reduced-precision batch: `data` holds 16-bit words in
   /// `sopts.storage` format (which must be kBf16 or kFp16), arithmetic
   /// accumulates in fp32 exactly as factor_batch_cpu_mixed, and results
@@ -372,17 +362,6 @@ class BatchService {
                             const TiledOptions& topts = {},
                             std::span<std::int32_t> info = {});
 
-  /// factor_batch_recover_mixed with the fp32 passes pooled: the batch is
-  /// widened once, screened/factored/shift-retried through the service,
-  /// and narrowed back to `storage`.
-  RecoveryReport recover_mixed(const BatchLayout& layout,
-                               std::span<std::uint16_t> data,
-                               StoragePrec storage,
-                               const CpuFactorOptions& options,
-                               const RecoveryOptions& recovery,
-                               std::span<std::int32_t> info = {},
-                               const TileProgram* program = nullptr);
-
   /// Resolved initial worker count (fixed for the service lifetime).
   [[nodiscard]] int threads() const noexcept;
 
@@ -394,9 +373,8 @@ class BatchService {
   [[nodiscard]] ArenaStats arena_stats() const;
 
   /// Lazily started process-wide service with default options, shared by
-  /// callers that opt in via IBCHOL_SERVICE=1 (see BatchCholesky) and by
-  /// anything else content with one shared pool. Never torn down before
-  /// process exit.
+  /// BatchCholesky's tiled route (n > 64) and by anything else content
+  /// with one shared pool. Never torn down before process exit.
   static BatchService& global();
 
  private:

@@ -1,15 +1,18 @@
 // Tests for the batched BLAS companions and the rectangular batch layout.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 #include <vector>
 
 #include "cpu/batch_blas.hpp"
 #include "cpu/batch_factor.hpp"
+#include "cpu/batch_solve.hpp"
 #include "cpu/reference.hpp"
 #include "layout/convert.hpp"
 #include "layout/generate.hpp"
 #include "layout/rect_layout.hpp"
+#include "layout/vector_layout.hpp"
 #include "util/aligned_buffer.hpp"
 #include "util/rng.hpp"
 
@@ -153,6 +156,42 @@ TEST_P(BatchBlasTest, TrsmForwardThenBackwardEqualsPotrs) {
   batch_trsm_left_lower<float>(mlayout, std::span<const float>(mats.span()),
                                rlayout, r2.span(), true);
   for (std::size_t i = 0; i < r1.size(); ++i) EXPECT_EQ(r1[i], r2[i]);
+
+  // One right-hand side per matrix: solve_batch_cpu over the matching
+  // vector layout gives the same bytes as both multi-RHS routes at
+  // nrhs = 1, for either triangle.
+  const BatchRectLayout vrect = BatchRectLayout::matching(mlayout, n, 1);
+  const BatchVectorLayout vlayout = BatchVectorLayout::matching(mlayout);
+  ASSERT_EQ(vrect.size_elems(), vlayout.size_elems());
+  for (const Triangle tri : {Triangle::kLower, Triangle::kUpper}) {
+    AlignedBuffer<float> f(mlayout.size_elems());
+    generate_spd_batch<float>(mlayout, f.span());
+    CpuFactorOptions opt;
+    opt.triangle = tri;
+    ASSERT_TRUE(factor_batch_cpu<float>(mlayout, f.span(), opt).ok());
+    const std::span<const float> fc(f.span());
+
+    AlignedBuffer<float> x(vlayout.size_elems()), p(vrect.size_elems()),
+        t(vrect.size_elems());
+    for (std::int64_t b = 0; b < batch; ++b) {
+      for (int i = 0; i < n; ++i) {
+        x[vlayout.index(b, i)] = p[vrect.index(b, i, 0)] =
+            t[vrect.index(b, i, 0)] = 0.25f * static_cast<float>(i + b % 7);
+      }
+    }
+    solve_batch_cpu<float>(mlayout, fc, vlayout, x.span(), MathMode::kIeee,
+                           0, tri);
+    batch_potrs<float>(mlayout, fc, vrect, p.span(), MathMode::kIeee, 0, tri);
+    batch_trsm_left_lower<float>(mlayout, fc, vrect, t.span(), false,
+                                 MathMode::kIeee, 0, tri);
+    batch_trsm_left_lower<float>(mlayout, fc, vrect, t.span(), true,
+                                 MathMode::kIeee, 0, tri);
+    const std::size_t bytes = x.size() * sizeof(float);
+    EXPECT_EQ(std::memcmp(x.data(), p.data(), bytes), 0)
+        << (tri == Triangle::kLower ? "lower" : "upper");
+    EXPECT_EQ(std::memcmp(x.data(), t.data(), bytes), 0)
+        << (tri == Triangle::kLower ? "lower" : "upper");
+  }
 }
 
 // ---------------------------------------------------------------- syrk ---

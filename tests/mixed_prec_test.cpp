@@ -376,34 +376,49 @@ TEST(ServiceMixed, ScreenQuarantinesPoisonedMixedBatch) {
   EXPECT_EQ(zeros, f.batch - 1);
 }
 
-// recover_mixed (the pooled ladder) agrees with the synchronous
-// factor_batch_recover_mixed on report counts and final info codes.
+// The service's screened mixed path (submit_mixed + SubmitOptions::screen)
+// against synchronous mixed recovery with retries off: the same info codes
+// and the same 16-bit words in every matrix the screen did not flag.
 TEST(ServiceMixed, RecoverMixedMatchesSynchronousRecovery) {
   MixedFixture f(12, 96, StoragePrec::kBf16);
-  const std::int64_t nonspd = 17;
+  const std::int64_t nonspd = 17, poisoned = 40;
   poison_matrix<float>(f.layout, f.fp32.span(), nonspd, 4);
   f.renarrow();
+  f.u16[f.layout.index(poisoned, 3, 1)] = 0x7FC0u;  // NaN word
   AlignedBuffer<std::uint16_t> sync_data(f.layout.size_elems());
   std::copy(f.u16.begin(), f.u16.end(), sync_data.begin());
+  RecoveryOptions recovery;
+  recovery.max_attempts = 0;
   std::vector<std::int32_t> sync_info(f.batch, -99);
   const RecoveryReport sync_rep = factor_batch_recover_mixed(
-      f.layout, sync_data.span(), f.prec, {}, {},
+      f.layout, sync_data.span(), f.prec, {}, recovery,
       std::span<std::int32_t>(sync_info));
 
   svc::ServiceOptions sopts;
   sopts.num_threads = 2;
   svc::BatchService service(sopts);
+  svc::SubmitOptions so;
+  so.storage = f.prec;
+  so.screen = true;
   std::vector<std::int32_t> svc_info(f.batch, -99);
-  const RecoveryReport svc_rep = service.recover_mixed(
-      f.layout, f.u16.span(), f.prec, {}, {},
-      std::span<std::int32_t>(svc_info));
-  EXPECT_EQ(svc_rep.nonfinite, sync_rep.nonfinite);
-  EXPECT_EQ(svc_rep.failed, sync_rep.failed);
-  EXPECT_EQ(svc_rep.recovered, sync_rep.recovered);
-  EXPECT_EQ(svc_rep.unrecoverable, sync_rep.unrecoverable);
+  svc::FactorFuture fut = service.submit_mixed(
+      f.layout, f.u16.span(), {}, std::span<std::int32_t>(svc_info), nullptr,
+      so);
+  (void)fut.wait();
+  EXPECT_EQ(fut.status(), svc::RequestStatus::kPoisoned);
+  EXPECT_EQ(fut.recovery_report().nonfinite, sync_rep.nonfinite);
   EXPECT_EQ(svc_info, sync_info);
-  for (std::size_t i = 0; i < sync_data.size(); ++i) {
-    ASSERT_EQ(f.u16[i], sync_data[i]) << "elem " << i;
+  EXPECT_EQ(svc_info[poisoned], kInfoNonFinite);
+  EXPECT_GT(svc_info[nonspd], 0);
+  for (std::int64_t m = 0; m < f.batch; ++m) {
+    if (m == poisoned) continue;
+    for (int j = 0; j < f.n; ++j) {
+      for (int i = 0; i < f.n; ++i) {
+        const std::size_t at = f.layout.index(m, i, j);
+        ASSERT_EQ(f.u16[at], sync_data[at])
+            << "matrix " << m << " element (" << i << "," << j << ")";
+      }
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "cpu/recover.hpp"
 #include "layout/convert.hpp"
 #include "layout/generate.hpp"
+#include "obs/counters.hpp"
 #include "util/aligned_buffer.hpp"
 #include "util/fault_inject.hpp"
 
@@ -304,6 +306,66 @@ TEST(Recover, FacadeRecoversThroughEveryExecutorPath) {
     EXPECT_TRUE(report.all_recovered()) << to_string(unroll);
     EXPECT_EQ(report.recovered, 1) << to_string(unroll);
     EXPECT_EQ(info[60], 0) << to_string(unroll);
+  }
+
+  // The tiled route: past n = 64 the first pass and every shifted retry
+  // run on the tiled DAG, exactly where factorize() runs, and the result
+  // equals synchronous recovery byte for byte.
+  const int n = 128;
+  const std::int64_t batch = 70, nonspd = 7, poisoned = 66;
+  for (const bool chunked : {true, false}) {
+    TuningParams p = recommended_params(n);
+    p.chunked = chunked;
+    const BatchLayout layout = chunked
+                                   ? BatchCholesky::make_layout(n, batch, p)
+                                   : BatchLayout::canonical(n, batch);
+    AlignedBuffer<float> data(layout.size_elems());
+    generate_spd_batch<float>(layout, data.span());
+    poison_matrix<float>(layout, data.span(), nonspd, 5);
+    data[layout.index(poisoned, 9, 4)] = std::nanf("");
+    AlignedBuffer<float> expect(layout.size_elems());
+    std::copy(data.begin(), data.end(), expect.begin());
+
+    const BatchCholesky chol(layout, p);
+    ASSERT_TRUE(chol.uses_tiled()) << to_string(layout.kind());
+    std::vector<std::int32_t> info(batch, -7);
+    const std::uint64_t routed = obs::counter_value("tiled.routed");
+    const std::uint64_t fallback = obs::counter_value("cpu.large_n_fallback");
+    const RecoveryReport got =
+        chol.factorize_recover<float>(data.span(), {}, info);
+    if constexpr (obs::kEnabled) {
+      EXPECT_GT(obs::counter_value("tiled.routed"), routed);
+      EXPECT_EQ(obs::counter_value("cpu.large_n_fallback"), fallback);
+    }
+
+    CpuFactorOptions opts;
+    opts.nb = p.effective_nb(n);
+    opts.looking = p.looking;
+    opts.unroll = p.unroll;
+    opts.exec = p.exec;
+    std::vector<std::int32_t> expect_info(batch, -7);
+    const RecoveryReport want = factor_batch_recover<float>(
+        layout, expect.span(), opts, {}, expect_info);
+
+    EXPECT_EQ(got.recovered, 1) << to_string(layout.kind());
+    EXPECT_EQ(info[poisoned], kInfoNonFinite);
+    EXPECT_EQ(info, expect_info);
+    EXPECT_EQ(got.nonfinite, want.nonfinite);
+    EXPECT_EQ(got.failed, want.failed);
+    EXPECT_EQ(got.recovered, want.recovered);
+    EXPECT_EQ(got.unrecoverable, want.unrecoverable);
+    ASSERT_EQ(got.matrices.size(), want.matrices.size());
+    for (std::size_t k = 0; k < got.matrices.size(); ++k) {
+      EXPECT_EQ(got.matrices[k].index, want.matrices[k].index);
+      EXPECT_EQ(got.matrices[k].first_info, want.matrices[k].first_info);
+      EXPECT_EQ(got.matrices[k].attempts, want.matrices[k].attempts);
+      EXPECT_EQ(got.matrices[k].shift, want.matrices[k].shift);
+      EXPECT_EQ(got.matrices[k].recovered, want.matrices[k].recovered);
+    }
+    EXPECT_EQ(std::memcmp(data.data(), expect.data(),
+                          layout.size_elems() * sizeof(float)),
+              0)
+        << to_string(layout.kind());
   }
 }
 

@@ -1,7 +1,8 @@
 // Tests for BatchService: bit-identity with the synchronous drivers across
 // layouts and dtypes, concurrent submission, cancellation, drain-on-
-// teardown, the zero-steady-state-allocation property, recovery routing,
-// per-precision latency lanes, and the IBCHOL_SERVICE facade switch.
+// teardown, the zero-steady-state-allocation property, screening against
+// synchronous recovery, per-precision latency lanes, and the facade's
+// independence from the service outside its tiled route.
 //
 // Pipeline units are schedule-agnostic (each unit factors a disjoint lane
 // range through the same kernels in the same order), so the service must
@@ -24,6 +25,7 @@
 #include "cpu/simd/convert.hpp"
 #include "layout/generate.hpp"
 #include "layout/layout.hpp"
+#include "obs/counters.hpp"
 #include "obs/histogram.hpp"
 #include "svc/batch_service.hpp"
 #include "util/aligned_buffer.hpp"
@@ -396,36 +398,53 @@ TEST(BatchService, MultiWorkerArenaWorkingSetIsBounded) {
   EXPECT_GT(stats.reuses, 0u);
 }
 
+// The service's screened path (SubmitOptions::screen) against synchronous
+// recovery with retries off: the same info codes, the same non-finite
+// count, and the same factored triangle in every matrix the screen did not
+// flag. (Recovery hands a flagged matrix back as supplied; the quarantine
+// leaves whatever the factorization made of it.)
 TEST(BatchService, RecoverMatchesSynchronousRecovery) {
   const BatchLayout layout = BatchLayout::interleaved(12, 200);
   Workload<double> reference(layout);
   // Mix of failure modes: non-SPD (recoverable by shifting) and NaN.
-  poison_matrix<double>(reference.layout, reference.data.span(), 5, 3);
-  reference.data.span()[layout.index(9, 2, 1)] =
+  const std::int64_t nonspd = 5, poisoned = 9;
+  poison_matrix<double>(reference.layout, reference.data.span(), nonspd, 3);
+  reference.data.span()[layout.index(poisoned, 2, 1)] =
       std::numeric_limits<double>::quiet_NaN();
-  reference.data.span()[layout.index(9, 1, 2)] =
+  reference.data.span()[layout.index(poisoned, 1, 2)] =
       std::numeric_limits<double>::quiet_NaN();
   Workload<double> serviced = reference.clone();
 
-  const RecoveryOptions recovery;
+  RecoveryOptions recovery;
+  recovery.max_attempts = 0;
   const RecoveryReport want = factor_batch_recover<double>(
       layout, reference.data.span(), {}, recovery, reference.info);
 
   BatchService service({.num_threads = 2});
-  const RecoveryReport got = service.recover<double>(
-      layout, serviced.data.span(), {}, recovery, serviced.info);
+  SubmitOptions screened;
+  screened.screen = true;
+  FactorFuture f = service.submit<double>(layout, serviced.data.span(), {},
+                                          serviced.info, nullptr, screened);
+  (void)f.wait();
+  EXPECT_EQ(f.status(), RequestStatus::kPoisoned);
+  const RecoveryReport got = f.recovery_report();
 
   EXPECT_EQ(got.nonfinite, want.nonfinite);
-  EXPECT_EQ(got.failed, want.failed);
-  EXPECT_EQ(got.recovered, want.recovered);
-  EXPECT_EQ(got.unrecoverable, want.unrecoverable);
-  ASSERT_EQ(got.matrices.size(), want.matrices.size());
-  for (std::size_t i = 0; i < got.matrices.size(); ++i) {
-    EXPECT_EQ(got.matrices[i].index, want.matrices[i].index);
-    EXPECT_EQ(got.matrices[i].recovered, want.matrices[i].recovered);
-    EXPECT_EQ(got.matrices[i].shift, want.matrices[i].shift);
+  EXPECT_EQ(serviced.info, reference.info);
+  EXPECT_EQ(serviced.info[poisoned], kInfoNonFinite);
+  EXPECT_GT(serviced.info[nonspd], 0);
+  for (std::int64_t b = 0; b < layout.batch(); ++b) {
+    if (b == poisoned) continue;
+    for (int j = 0; j < layout.n(); ++j) {
+      for (int i = j; i < layout.n(); ++i) {
+        const std::size_t at = layout.index(b, i, j);
+        ASSERT_EQ(std::memcmp(&serviced.data[at], &reference.data[at],
+                              sizeof(double)),
+                  0)
+            << "matrix " << b << " element (" << i << "," << j << ")";
+      }
+    }
   }
-  expect_identical(reference, serviced);
 }
 
 TEST(BatchService, GlobalServiceIsSingletonAndUsable) {
@@ -521,11 +540,11 @@ TEST(BatchService, RequestLatencyRecordedInPrecisionLane) {
   }
 }
 
-// The facade switch: IBCHOL_SERVICE=1 routes BatchCholesky through the
-// global service; results must match the direct driver bit for bit. The
-// env variable is latched on first use, so this test (the only user of
-// BatchCholesky in this binary) sets it before any facade call.
-TEST(BatchService, FacadeRoutesThroughServiceUnderEnvFlag) {
+// The facade runs one route per configuration and no environment variable
+// reroutes it: with the retired IBCHOL_SERVICE=1 switch set, a small-n
+// factorize still runs the synchronous driver (no service submission) and
+// matches it bit for bit.
+TEST(BatchService, FacadeIgnoresServiceEnvFlag) {
   setenv("IBCHOL_SERVICE", "1", 1);
   const int n = 16;
   const std::int64_t batch = 300;
@@ -535,8 +554,12 @@ TEST(BatchService, FacadeRoutesThroughServiceUnderEnvFlag) {
   Workload<float> serviced = reference.clone();
 
   const BatchCholesky chol(layout, params);
+  const std::uint64_t submitted = obs::counter_value("svc.submitted");
   const FactorResult got =
       chol.factorize<float>(serviced.data.span(), serviced.info);
+  if constexpr (obs::kEnabled) {
+    EXPECT_EQ(obs::counter_value("svc.submitted"), submitted);
+  }
 
   unsetenv("IBCHOL_SERVICE");
   const CpuFactorOptions opts = [&] {

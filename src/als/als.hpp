@@ -13,6 +13,7 @@
 
 #include "als/ratings.hpp"
 #include "kernels/variant.hpp"
+#include "util/aligned_buffer.hpp"
 
 namespace ibchol {
 
@@ -56,11 +57,21 @@ class AlsRecommender {
   [[nodiscard]] const AlsOptions& options() const { return options_; }
 
  private:
+  /// One side's batch (normal equations and right-hand sides), kept across
+  /// iterations. Each call rewrites every real lane and zeroes the padding
+  /// lanes, so the factorization sees the bytes a fresh buffer would hold.
+  struct SideBuffers {
+    AlignedBuffer<float> mats;
+    AlignedBuffer<float> rhs;
+  };
+
   /// One half-iteration: updates `factors` (users or items) from the fixed
-  /// side. Returns seconds spent inside batched factor+solve.
+  /// side; `other` is the Rating field that indexes `fixed`. Returns seconds
+  /// spent inside batched factor+solve.
   double update_side(const std::vector<std::vector<std::int32_t>>& adjacency,
+                     std::int32_t Rating::*other,
                      const std::vector<float>& fixed,
-                     std::vector<float>& factors) const;
+                     std::vector<float>& factors, SideBuffers& side);
 
   [[nodiscard]] double rmse(const std::vector<Rating>& ratings) const;
 
@@ -68,6 +79,8 @@ class AlsRecommender {
   AlsOptions options_;
   std::vector<float> user_factors_;  ///< num_users × rank, row-major
   std::vector<float> item_factors_;  ///< num_items × rank, row-major
+  SideBuffers user_side_;
+  SideBuffers item_side_;
 };
 
 }  // namespace ibchol
